@@ -35,40 +35,31 @@ let viols_field viols =
   else
     [ Sexp.List [ Sexp.Atom "violations"; Sexp.List (List.map viol_sx viols) ] ]
 
-(* Sequential snapshots keep the original (PR 3) field layout, so
-   checkpoint files written before parallel exploration existed still
-   load, and single-DFS checkpoints round-trip byte-identically against
-   that format. Parallel snapshots replace the inline DFS state with a
-   [subtrees] list: per subtree the identifying prefix and its
-   progress — todo, a final tally, or an interrupted frontier. *)
+(* A task's counters, in the order both [done] and [active] write them
+   (and the inline layout of older single-DFS files stored them). *)
+let counters_sx t =
+  [
+    Sexp.List [ Sexp.Atom "runs"; Sexp.int t.Explore.t_runs ];
+    Sexp.List [ Sexp.Atom "truncated"; Sexp.int t.Explore.t_truncated ];
+    Sexp.List [ Sexp.Atom "pruned"; Sexp.int t.Explore.t_pruned ];
+    Sexp.List [ Sexp.Atom "patterns"; ints_sx t.Explore.t_patterns ];
+  ]
+
+(* Per subtree task: the identifying prefix and its progress — todo, a
+   final tally, or an interrupted frontier. *)
 let progress_sx = function
   | Explore.Todo -> Sexp.Atom "todo"
   | Explore.Done t ->
+    let exhausted = if t.Explore.t_exhausted then "true" else "false" in
     Sexp.List
-      ([
-         Sexp.Atom "done";
-         Sexp.List [ Sexp.Atom "runs"; Sexp.int t.Explore.t_runs ];
-         Sexp.List [ Sexp.Atom "truncated"; Sexp.int t.t_truncated ];
-         Sexp.List [ Sexp.Atom "pruned"; Sexp.int t.t_pruned ];
-         Sexp.List [ Sexp.Atom "patterns"; ints_sx t.t_patterns ];
-         Sexp.List
-           [
-             Sexp.Atom "exhausted";
-             Sexp.Atom (if t.t_exhausted then "true" else "false");
-           ];
-       ]
+      ((Sexp.Atom "done" :: counters_sx t)
+      @ [ Sexp.List [ Sexp.Atom "exhausted"; Sexp.Atom exhausted ] ]
       @ viols_field t.t_viol)
-  | Explore.Active ck ->
+  | Explore.Active (t, frontier) ->
     Sexp.List
-      ([
-         Sexp.Atom "active";
-         Sexp.List [ Sexp.Atom "runs"; Sexp.int ck.Explore.ck_runs ];
-         Sexp.List [ Sexp.Atom "truncated"; Sexp.int ck.ck_truncated ];
-         Sexp.List [ Sexp.Atom "pruned"; Sexp.int ck.ck_pruned ];
-         Sexp.List [ Sexp.Atom "patterns"; ints_sx ck.ck_patterns ];
-         Sexp.List [ Sexp.Atom "frontier"; frontier_sx ck.frontier ];
-       ]
-      @ viols_field ck.ck_viol)
+      ((Sexp.Atom "active" :: counters_sx t)
+      @ [ Sexp.List [ Sexp.Atom "frontier"; frontier_sx frontier ] ]
+      @ viols_field t.t_viol)
 
 let subtree_sx st =
   Sexp.List
@@ -78,29 +69,14 @@ let subtree_sx st =
     ]
 
 let to_sexp t =
-  let header =
+  Sexp.List
     [
       Sexp.List [ Sexp.Atom "protocol"; Sexp.Atom t.protocol ];
       Sexp.List [ Sexp.Atom "n"; Sexp.int t.n ];
       Sexp.List [ Sexp.Atom "participants"; ints_sx (Pset.to_list t.participants) ];
+      Sexp.List [ Sexp.Atom "subtrees"; Sexp.List (List.map subtree_sx t.state) ];
+      Sexp.List [ Sexp.Atom "parts"; Sexp.List (List.map part_sx t.parts) ];
     ]
-  in
-  let state =
-    match t.state with
-    | Explore.Seq ck ->
-      [
-        Sexp.List [ Sexp.Atom "runs"; Sexp.int ck.Explore.ck_runs ];
-        Sexp.List [ Sexp.Atom "truncated"; Sexp.int ck.ck_truncated ];
-        Sexp.List [ Sexp.Atom "pruned"; Sexp.int ck.ck_pruned ];
-        Sexp.List [ Sexp.Atom "patterns"; ints_sx ck.ck_patterns ];
-        Sexp.List [ Sexp.Atom "frontier"; frontier_sx ck.frontier ];
-      ]
-      @ viols_field ck.ck_viol
-    | Explore.Par subs ->
-      [ Sexp.List [ Sexp.Atom "subtrees"; Sexp.List (List.map subtree_sx subs) ] ]
-  in
-  let footer = [ Sexp.List [ Sexp.Atom "parts"; Sexp.List (List.map part_sx t.parts) ] ] in
-  Sexp.List (header @ state @ footer)
 
 let to_string t = Sexp.to_string (to_sexp t)
 
@@ -161,31 +137,29 @@ let opt_viols fields =
   | Some (Sexp.List vs) -> Sexp.map_result viol_of_sexp vs
   | Some (Sexp.Atom _) -> Error "field violations: expected a list"
 
+let tally_of_fields ~exhausted fields =
+  let* t_runs = req_int "runs" fields in
+  let* t_truncated = req_int "truncated" fields in
+  let* t_pruned = req_int "pruned" fields in
+  let* t_patterns = req_ints "patterns" fields in
+  let* t_viol = opt_viols fields in
+  Ok
+    { Explore.t_runs; t_truncated; t_pruned; t_patterns; t_viol;
+      t_exhausted = exhausted }
+
+let active_of_fields fields =
+  let* t = tally_of_fields ~exhausted:false fields in
+  let* frontier = req_frontier "frontier" fields in
+  Ok (Explore.Active (t, frontier))
+
 let progress_of_sexp = function
   | Sexp.Atom "todo" -> Ok Explore.Todo
   | Sexp.List (Sexp.Atom "done" :: fields) ->
-    let* t_runs = req_int "runs" fields in
-    let* t_truncated = req_int "truncated" fields in
-    let* t_pruned = req_int "pruned" fields in
-    let* t_patterns = req_ints "patterns" fields in
     let* ex_sx = req "exhausted" fields in
-    let* t_exhausted = bool_of_sexp ex_sx in
-    let* t_viol = opt_viols fields in
-    Ok
-      (Explore.Done
-         { Explore.t_runs; t_truncated; t_pruned; t_patterns; t_viol;
-           t_exhausted })
-  | Sexp.List (Sexp.Atom "active" :: fields) ->
-    let* ck_runs = req_int "runs" fields in
-    let* ck_truncated = req_int "truncated" fields in
-    let* ck_pruned = req_int "pruned" fields in
-    let* ck_patterns = req_ints "patterns" fields in
-    let* frontier = req_frontier "frontier" fields in
-    let* ck_viol = opt_viols fields in
-    Ok
-      (Explore.Active
-         { Explore.ck_runs; ck_truncated; ck_pruned; ck_patterns; ck_viol;
-           frontier })
+    let* exhausted = bool_of_sexp ex_sx in
+    let* t = tally_of_fields ~exhausted fields in
+    Ok (Explore.Done t)
+  | Sexp.List (Sexp.Atom "active" :: fields) -> active_of_fields fields
   | _ -> Error "bad subtree status: expected todo, (done ...) or (active ...)"
 
 let subtree_of_sexp = function
@@ -227,21 +201,12 @@ let of_sexp = function
     in
     let* state =
       match field "subtrees" fields with
-      | Some (Sexp.List subs_sx) ->
-        let* subtrees = Sexp.map_result subtree_of_sexp subs_sx in
-        Ok (Explore.Par subtrees)
+      | Some (Sexp.List subs_sx) -> Sexp.map_result subtree_of_sexp subs_sx
       | Some (Sexp.Atom _) -> Error "field subtrees: expected a list"
       | None ->
-        let* ck_runs = req_int "runs" fields in
-        let* ck_truncated = req_int "truncated" fields in
-        let* ck_pruned = req_int "pruned" fields in
-        let* ck_patterns = req_ints "patterns" fields in
-        let* frontier = req_frontier "frontier" fields in
-        let* ck_viol = opt_viols fields in
-        Ok
-          (Explore.Seq
-             { Explore.ck_runs; ck_truncated; ck_pruned; ck_patterns;
-               ck_viol; frontier })
+        (* the inline layout of older single-DFS files: one root task *)
+        let* progress = active_of_fields fields in
+        Ok [ { Explore.prefix = []; progress } ]
     in
     Ok { protocol; n; participants = Pset.of_list participants; state; parts }
   | Sexp.Atom _ -> Error "malformed checkpoint file"
@@ -250,13 +215,20 @@ let of_string s =
   let* sx = Sexp.of_string s in
   of_sexp sx
 
+(* tmp+rename in the target's directory: a process killed mid-write
+   leaves the previous checkpoint intact, never a truncated one *)
 let save file t =
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (to_string t);
-      output_char oc '\n')
+  let tmp = file ^ ".tmp" in
+  let oc = open_out tmp in
+  (try
+     output_string oc (to_string t);
+     output_char oc '\n';
+     close_out oc
+   with e ->
+     close_out_noerr oc;
+     (try Sys.remove tmp with Sys_error _ -> ());
+     raise e);
+  Sys.rename tmp file
 
 let load file =
   let tagged = function

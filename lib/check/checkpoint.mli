@@ -5,26 +5,27 @@
     against the wrong one fails fast), the universe, the explorer's
     {!Explore.snapshot}, and — for the immediate-snapshot harness —
     the distinct ordered partitions already observed. The format is
-    the same s-expression dialect as {!Trace}, one value per file. A
-    sequential snapshot keeps the original inline layout (older
-    checkpoint files load unchanged):
-
-    {v ((protocol is) (n 2) (participants (0 1)) (runs 5)
-        (truncated 0) (pruned 1) (patterns (0 3))
-        (frontier ((s0 (s1)) (s1 ())))
-        (parts (((0) (1)) ((0 1))))) v}
-
-    A parallel snapshot replaces the inline DFS state with a
-    [subtrees] list — per subtree task its identifying prefix and its
-    progress ([todo], a final [done] tally, or an interrupted [active]
-    frontier):
+    the same s-expression dialect as {!Trace}, one value per file.
+    The explorer state is a [subtrees] list — per subtree task its
+    identifying prefix and its progress ([todo], a final [done] tally,
+    or an interrupted [active] frontier). A one-domain exploration is
+    the single root task, with an empty prefix:
 
     {v ((protocol is) (n 2) (participants (0 1))
         (subtrees (((prefix ((s0 ()))) (status todo))
                    ((prefix ((s1 (s0))))
                     (status (active (runs 3) (truncated 0) (pruned 1)
                             (patterns (0)) (frontier ((s1 (s0)) (s0 ()))))))))
-        (parts ())) v} *)
+        (parts ())) v}
+
+    Only this layout is written. Files from older one-domain runs keep
+    the root task's counters and frontier inline, in place of
+    [subtrees]; they are still read, as one root [active] task:
+
+    {v ((protocol is) (n 2) (participants (0 1)) (runs 5)
+        (truncated 0) (pruned 1) (patterns (0 3))
+        (frontier ((s0 (s1)) (s1 ())))
+        (parts (((0) (1)) ((0 1))))) v} *)
 
 open Fact_topology
 
@@ -41,8 +42,9 @@ val to_string : t -> string
 val of_string : string -> (t, string) result
 
 val save : string -> t -> unit
-(** [save file t] writes [to_string t] to [file] atomically enough for
-    our purposes (truncate + write + close). *)
+(** [save file t] writes [to_string t] to [file] atomically: to
+    [file ^ ".tmp"] first, then renamed over [file], so an interrupted
+    save leaves the previous checkpoint intact. *)
 
 val load : string -> (t, string) result
 (** [load file] reads and parses [file]; [Error msg] on I/O or parse

@@ -29,50 +29,44 @@ type 'r stats = {
   exhausted : bool;
 }
 
-(* A resumable snapshot of one DFS: the counters so far plus, for every
-   depth of the current path, the chosen decision and the fully
-   explored siblings. [enabled], [sleep0], [ops] and [crashes_before]
-   are deliberately absent — they are deterministic functions of the
-   decision prefix and are rebuilt by re-executing one (uncounted
-   at checkpoint time) run along [frontier]. *)
-type checkpoint = {
-  ck_runs : int;
-  ck_truncated : int;
-  ck_pruned : int;
-  ck_patterns : int list; (* Pset masks of completed runs' faulty sets *)
-  ck_viol : (Trace.decision list * bool) list;
-      (* violating runs so far as (decisions, truncated), oldest first.
-         Only the traces are persisted — never the verdicts: a resume
-         re-evaluates each one by observed replay against the current
-         subject, so checkpoints survive assertion changes. *)
-  frontier : (Trace.decision * Trace.decision list) list;
-      (* (chosen, done) per depth, outermost first *)
-}
-
-(* Parallel exploration splits the decision tree into subtree tasks,
-   each identified by a forced (chosen, done)-prefix. The prefix pins
+(* Exploration splits the decision tree into subtree tasks (at one
+   domain, the single root task with an empty prefix), each identified
+   by a forced (chosen, done)-prefix. The prefix pins
    both the path into the tree and the sibling context (which branches
    of each prefix node the task owns are exactly [enabled \ (done ∪
    sleep)], all deterministic functions of the prefix), so a task is a
    self-contained unit of work and the partition refines the
-   sequential DFS. *)
+   single-task DFS. *)
+type frontier = (Trace.decision * Trace.decision list) list
+
+(* The counters of one task. [t_viol] holds the violating runs so far
+   as (decisions, truncated), oldest first. Only the traces are
+   persisted — never the verdicts: a resume re-evaluates each one by
+   observed replay against the current subject, so checkpoints survive
+   assertion changes. *)
 type tally = {
   t_runs : int;
   t_truncated : int;
   t_pruned : int;
-  t_patterns : int list;
+  t_patterns : int list; (* Pset masks of completed runs' faulty sets *)
   t_viol : (Trace.decision list * bool) list;
   t_exhausted : bool;
 }
 
-type progress = Todo | Done of tally | Active of checkpoint
+(* [Active (t, frontier)]: for every depth of the task's current path,
+   the chosen decision and the fully explored siblings. [enabled],
+   [sleep0], [ops] and [crashes_before] are deliberately absent — they
+   are deterministic functions of the decision prefix and are rebuilt
+   by re-executing one (uncounted at checkpoint time) run along the
+   frontier. *)
+type progress = Todo | Done of tally | Active of tally * frontier
 
 type subtree = {
-  prefix : (Trace.decision * Trace.decision list) list;
+  prefix : frontier;
   progress : progress;
 }
 
-type snapshot = Seq of checkpoint | Par of subtree list
+type snapshot = subtree list
 
 let zero_tally =
   {
@@ -81,16 +75,6 @@ let zero_tally =
     t_pruned = 0;
     t_patterns = [];
     t_viol = [];
-    t_exhausted = false;
-  }
-
-let tally_of_checkpoint ck =
-  {
-    t_runs = ck.ck_runs;
-    t_truncated = ck.ck_truncated;
-    t_pruned = ck.ck_pruned;
-    t_patterns = ck.ck_patterns;
-    t_viol = ck.ck_viol;
     t_exhausted = false;
   }
 
@@ -142,12 +126,12 @@ let independent node d1 d2 =
 exception Task_abort
 
 type 'r core_result = {
-  r_stats : 'r stats;
-  r_patterns : int list; (* final distinct masks, incl. restored ones *)
-  r_executions : int;    (* executions performed by this invocation *)
+  r_tally : tally;                 (* final counters, incl. the base *)
+  r_violations : 'r outcome list;  (* incl. restored ones, oldest first *)
+  r_executions : int;              (* executions performed by this call *)
 }
 
-(* The sequential DFS core. [forced] replays a decision prefix (a
+(* The DFS core of one task. [forced] replays a decision prefix (a
    resume frontier or a subtree prefix) on the first run; [floor] is
    the backtrack floor — nodes at depths < floor belong to the caller's
    partition and are never advanced, so the search covers exactly the
@@ -315,6 +299,20 @@ let explore_core ~cfg ~stop_on_violation ~on_run ~base ~forced ~floor ~budget
       (List.init !plen (fun i -> (node_at i).chosen))
   in
 
+  let tally ~exhausted =
+    {
+      t_runs = !runs;
+      t_truncated = !truncated_runs;
+      t_pruned = !pruned;
+      t_patterns = Hashtbl.fold (fun m () acc -> m :: acc) patterns [];
+      t_viol =
+        List.rev_map
+          (fun o -> (Trace.decisions o.trace, o.truncated))
+          !violations;
+      t_exhausted = exhausted;
+    }
+  in
+
   (* Snapshot for resume. Taken at the top of the loop, so the frontier
      is exactly the prefix the next (not yet counted) run will follow:
      a resumed exploration replays that one run under forcing and then
@@ -322,22 +320,12 @@ let explore_core ~cfg ~stop_on_violation ~on_run ~base ~forced ~floor ~budget
      is still empty, so fall back to the pending forced prefix — a
      flush must never lose the task's position. *)
   let current_checkpoint () =
-    {
-      ck_runs = !runs;
-      ck_truncated = !truncated_runs;
-      ck_pruned = !pruned;
-      ck_patterns = Hashtbl.fold (fun m () acc -> m :: acc) patterns [];
-      ck_viol =
-        List.rev_map
-          (fun o -> (Trace.decisions o.trace, o.truncated))
-          !violations;
-      frontier =
-        (if !forcing then forced
-         else
-           List.init !plen (fun i ->
-               let nd = node_at i in
-               (nd.chosen, nd.done_)));
-    }
+    ( tally ~exhausted:false,
+      if !forcing then forced
+      else
+        List.init !plen (fun i ->
+            let nd = node_at i in
+            (nd.chosen, nd.done_)) )
   in
 
   let executions = ref 0 in
@@ -362,7 +350,7 @@ let explore_core ~cfg ~stop_on_violation ~on_run ~base ~forced ~floor ~budget
     | Some (d, cell) ->
       (* probe mode: record the branch decisions at depth [d] — the
          node's enabled minus its sleep set, in enabled order, which is
-         exactly the branch set the sequential DFS explores there *)
+         exactly the branch set the DFS explores there *)
       if d < !plen then begin
         let nd = node_at d in
         cell :=
@@ -394,16 +382,8 @@ let explore_core ~cfg ~stop_on_violation ~on_run ~base ~forced ~floor ~budget
         end)
   done;
   {
-    r_stats =
-      {
-        runs = !runs;
-        truncated = !truncated_runs;
-        pruned = !pruned;
-        crash_patterns = Hashtbl.length patterns;
-        violations = List.rev !violations;
-        exhausted = !exhausted;
-      };
-    r_patterns = Hashtbl.fold (fun m () acc -> m :: acc) patterns [];
+    r_tally = tally ~exhausted:!exhausted;
+    r_violations = List.rev !violations;
     r_executions = !executions;
   }
 
@@ -411,7 +391,7 @@ let explore_core ~cfg ~stop_on_violation ~on_run ~base ~forced ~floor ~budget
 (* Subtree splitting.                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* The branch set the sequential DFS explores at a node is [enabled \
+(* The branch set the DFS explores at a node is [enabled \
    sleep0] in enabled order; the [done] context each branch sees is the
    previously-explored siblings, newest first. *)
 let expand_children explored =
@@ -467,58 +447,42 @@ let split_subtrees ~cfg ~domains ~n ~participants ~subject =
   |> List.map (fun (prefix, _) -> { prefix; progress = Todo })
 
 (* ------------------------------------------------------------------ *)
-(* The parallel driver.                                               *)
+(* The task driver.                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Deterministic merge of per-task results, in task (= DFS) order.
-   Counter sums, pattern-set unions and in-order violation
+(* Deterministic merge of per-task (tally, violations), in task (= DFS)
+   order. Counter sums, pattern-set unions and in-order violation
    concatenation are all independent of how the tree was partitioned
    and of execution interleaving, which is what makes the counts
-   bit-identical to the sequential engine for any domain count. *)
-type 'r merged_item = M_tally of tally | M_res of 'r core_result
-
-let merge_items items ~restore ~cut =
-  let runs = ref 0 and truncated = ref 0 and pruned = ref 0 in
+   bit-identical for any domain count. *)
+let merge items ~cut =
   let patterns = Hashtbl.create 16 in
-  let violations = ref [] in
-  let exhausted = ref true in
-  List.iter
-    (fun item ->
-      let t_runs, t_trunc, t_pruned, masks, viols, exh =
-        match item with
-        | M_tally t ->
-          ( t.t_runs,
-            t.t_truncated,
-            t.t_pruned,
-            t.t_patterns,
-            restore t.t_viol,
-            t.t_exhausted )
-        | M_res r ->
-          ( r.r_stats.runs,
-            r.r_stats.truncated,
-            r.r_stats.pruned,
-            r.r_patterns,
-            r.r_stats.violations,
-            r.r_stats.exhausted )
-      in
-      runs := !runs + t_runs;
-      truncated := !truncated + t_trunc;
-      pruned := !pruned + t_pruned;
-      List.iter (fun m -> Hashtbl.replace patterns m ()) masks;
-      violations := !violations @ viols;
-      if not exh then exhausted := false)
-    items;
-  {
-    runs = !runs;
-    truncated = !truncated;
-    pruned = !pruned;
-    crash_patterns = Hashtbl.length patterns;
-    violations = !violations;
-    exhausted = (not cut) && !exhausted;
-  }
+  let s =
+    List.fold_left
+      (fun s (t, viols) ->
+        List.iter (fun m -> Hashtbl.replace patterns m ()) t.t_patterns;
+        {
+          s with
+          runs = s.runs + t.t_runs;
+          truncated = s.truncated + t.t_truncated;
+          pruned = s.pruned + t.t_pruned;
+          violations = s.violations @ viols;
+          exhausted = s.exhausted && t.t_exhausted;
+        })
+      {
+        runs = 0;
+        truncated = 0;
+        pruned = 0;
+        crash_patterns = 0;
+        violations = [];
+        exhausted = not cut;
+      }
+      items
+  in
+  { s with crash_patterns = Hashtbl.length patterns }
 
 let explore_tasks ~cfg ~stop_on_violation ~on_run ~checkpoint_every
-    ~on_checkpoint ~domains ~subtrees ~n ~participants ~subject () =
+    ~on_checkpoint ~domains ~n ~participants ~subject subtrees =
   let restore = restore_viols ~n ~participants ~subject in
   let subs = Array.of_list subtrees in
   let ntasks = Array.length subs in
@@ -526,177 +490,150 @@ let explore_tasks ~cfg ~stop_on_violation ~on_run ~checkpoint_every
   let lock = Mutex.create () in
   let emit_lock = Mutex.create () in
   let snapshot_locked () =
-    Par
-      (List.init ntasks (fun i ->
-           { prefix = subs.(i).prefix; progress = slots.(i) }))
+    List.init ntasks (fun i -> { prefix = subs.(i).prefix; progress = slots.(i) })
+  in
+  let deliver snap =
+    match on_checkpoint with
+    | None -> ()
+    | Some f ->
+      Mutex.lock emit_lock;
+      Fun.protect ~finally:(fun () -> Mutex.unlock emit_lock) (fun () -> f snap)
   in
   let set_slot i p ~emit =
     Mutex.lock lock;
     slots.(i) <- p;
     let snap =
-      if emit && on_checkpoint <> None then Some (snapshot_locked ())
-      else None
+      if emit && on_checkpoint <> None then Some (snapshot_locked ()) else None
     in
     Mutex.unlock lock;
-    match (snap, on_checkpoint) with
-    | Some s, Some f ->
-      Mutex.lock emit_lock;
-      Fun.protect ~finally:(fun () -> Mutex.unlock emit_lock) (fun () -> f s)
-    | _ -> ()
+    Option.iter deliver snap
   in
-  let task_inputs i =
-    match slots.(i) with
-    | Todo -> (zero_tally, subs.(i).prefix)
-    | Active ck -> (tally_of_checkpoint ck, ck.frontier)
-    | Done _ -> assert false
-  in
-  let done_tally (r : _ core_result) =
-    {
-      t_runs = r.r_stats.runs;
-      t_truncated = r.r_stats.truncated;
-      t_pruned = r.r_stats.pruned;
-      t_patterns = r.r_patterns;
-      t_viol =
-        List.map
-          (fun o -> (Trace.decisions o.trace, o.truncated))
-          r.r_stats.violations;
-      t_exhausted = r.r_stats.exhausted;
-    }
-  in
-
-  (* Phase 1 — optimistic parallel execution. Every task runs its
-     whole subtree; a shared counter implements [max_runs]. If the
-     counter ever crosses the budget the bounded-exploration results
-     are partition-dependent, so everything from this phase is
-     discarded and phase 2 recomputes with exact sequential budget
-     semantics. With [stop_on_violation], a violation in task [i]
-     makes every higher-indexed task pointless (the sequential engine
-     would have stopped inside task [i]'s subtree): they abort early
-     and are discarded by the merge cut. *)
-  let executed = Atomic.make 0 in
-  let tripped = Atomic.make false in
-  let viol_floor = Atomic.make max_int in
-  let run_task i () =
-    let base, forced = task_inputs i in
-    let floor = List.length subs.(i).prefix in
-    let on_execution () =
-      if Atomic.get tripped then raise Task_abort;
-      if Atomic.get viol_floor < i then raise Task_abort;
-      if Atomic.fetch_and_add executed 1 >= cfg.max_runs then begin
-        Atomic.set tripped true;
-        raise Task_abort
-      end
+  let run_task i ~budget ~on_execution =
+    let base, forced =
+      match slots.(i) with
+      | Todo -> (zero_tally, subs.(i).prefix)
+      | Active (t, frontier) -> (t, frontier)
+      | Done _ -> assert false
     in
     let r =
-      explore_core ~cfg ~stop_on_violation ~on_run ~base ~forced ~floor
-        ~budget:cfg.max_runs ~on_execution:(Some on_execution)
+      explore_core ~cfg ~stop_on_violation ~on_run ~base ~forced
+        ~floor:(List.length subs.(i).prefix) ~budget ~on_execution
         ~checkpoint_every
-        ~on_checkpoint:(fun ck -> set_slot i (Active ck) ~emit:true)
+        ~on_checkpoint:(fun (t, fr) -> set_slot i (Active (t, fr)) ~emit:true)
         ~capture:None ~n ~participants ~subject ()
     in
-    set_slot i (Done (done_tally r)) ~emit:false;
-    if stop_on_violation && r.r_stats.violations <> [] then begin
-      let rec lower () =
-        let cur = Atomic.get viol_floor in
-        if i < cur && not (Atomic.compare_and_set viol_floor cur i) then
-          lower ()
-      in
-      lower ()
-    end;
+    set_slot i (Done r.r_tally) ~emit:false;
     r
+  in
+
+  (* The tasks strictly in order with the exact remaining budget: the
+     single-task DFS applied subtree by subtree. This is the whole
+     exploration at one domain or with one task left to run, and the
+     fallback when the optimistic pass below trips the run budget. *)
+  let in_order () =
+    let rec go i budget items =
+      if i = ntasks then merge (List.rev items) ~cut:false
+      else
+        match slots.(i) with
+        | Done t -> go (i + 1) budget ((t, restore t.t_viol) :: items)
+        | Todo | Active _ when budget <= 0 -> merge (List.rev items) ~cut:true
+        | Todo | Active _ ->
+          let r = run_task i ~budget ~on_execution:None in
+          let items = (r.r_tally, r.r_violations) :: items in
+          if stop_on_violation && r.r_violations <> [] then
+            merge (List.rev items) ~cut:true
+          else go (i + 1) (budget - r.r_executions) items
+    in
+    go 0 cfg.max_runs []
+  in
+
+  (* Optimistic parallel execution. Every task runs its whole subtree;
+     a shared counter implements [max_runs]. If the counter ever
+     crosses the budget the bounded-exploration results are
+     partition-dependent, so everything from this pass is discarded and
+     [in_order] recomputes with exact budget semantics. With
+     [stop_on_violation], a violation in task [i] makes every
+     higher-indexed task pointless (the in-order DFS would have stopped
+     inside task [i]'s subtree): they abort early and are discarded by
+     the merge cut. *)
+  let optimistic torun =
+    let executed = Atomic.make 0 in
+    let tripped = Atomic.make false in
+    let viol_floor = Atomic.make max_int in
+    let task i () =
+      let on_execution () =
+        if Atomic.get tripped then raise Task_abort;
+        if Atomic.get viol_floor < i then raise Task_abort;
+        if Atomic.fetch_and_add executed 1 >= cfg.max_runs then begin
+          Atomic.set tripped true;
+          raise Task_abort
+        end
+      in
+      let r = run_task i ~budget:cfg.max_runs ~on_execution:(Some on_execution) in
+      if stop_on_violation && r.r_violations <> [] then begin
+        let rec lower () =
+          let cur = Atomic.get viol_floor in
+          if i < cur && not (Atomic.compare_and_set viol_floor cur i) then
+            lower ()
+        in
+        lower ()
+      end;
+      r
+    in
+    let outcomes =
+      Parallel.run_all ~workers:domains (List.map (fun i -> task i) torun)
+    in
+    let by_index = Hashtbl.create 16 in
+    List.iter2 (fun i o -> Hashtbl.replace by_index i o) torun outcomes;
+    let cancellation =
+      List.find_map
+        (function
+          | Error ((e, _) as eb)
+            when Fact_resilience.Fact_error.is_cancellation e ->
+            Some eb
+          | _ -> None)
+        outcomes
+    in
+    match cancellation with
+    | Some eb ->
+      (* every task settled (cancelled tasks flushed their frontier into
+         the slots); surface one final resumable snapshot, then
+         propagate the stop request *)
+      Mutex.lock lock;
+      let s = snapshot_locked () in
+      Mutex.unlock lock;
+      deliver s;
+      Parallel.reraise eb
+    | None ->
+      if Atomic.get tripped then begin
+        Array.iteri (fun i st -> slots.(i) <- st.progress) subs;
+        in_order ()
+      end
+      else begin
+        let fl = Atomic.get viol_floor in
+        let cut = fl < max_int in
+        let last = if cut then min fl (ntasks - 1) else ntasks - 1 in
+        let items =
+          List.init (last + 1) (fun i ->
+              match Hashtbl.find_opt by_index i with
+              | None -> (
+                match subs.(i).progress with
+                | Done t -> (t, restore t.t_viol)
+                | _ -> assert false)
+              | Some (Ok r) -> (r.r_tally, r.r_violations)
+              | Some (Error eb) -> Parallel.reraise eb)
+        in
+        merge items ~cut
+      end
   in
   let torun =
     List.filter
       (fun i -> match slots.(i) with Done _ -> false | _ -> true)
       (List.init ntasks Fun.id)
   in
-  let outcomes =
-    Parallel.run_all ~workers:domains (List.map (fun i -> run_task i) torun)
-  in
-  let by_index = Hashtbl.create 16 in
-  List.iter2 (fun i o -> Hashtbl.replace by_index i o) torun outcomes;
-  let cancellation =
-    List.find_map
-      (function
-        | Error ((e, _) as eb)
-          when Fact_resilience.Fact_error.is_cancellation e ->
-          Some eb
-        | _ -> None)
-      outcomes
-  in
-  match cancellation with
-  | Some eb ->
-    (* every task settled (cancelled tasks flushed their frontier into
-       the slots); surface one final resumable snapshot, then
-       propagate the stop request *)
-    (match on_checkpoint with
-    | None -> ()
-    | Some f ->
-      Mutex.lock lock;
-      let s = snapshot_locked () in
-      Mutex.unlock lock;
-      Mutex.lock emit_lock;
-      Fun.protect ~finally:(fun () -> Mutex.unlock emit_lock) (fun () -> f s));
-    Parallel.reraise eb
-  | None ->
-    if Atomic.get tripped then begin
-      (* Phase 2 — the run budget was hit: replay the tasks strictly
-         in order with the exact remaining budget, which is literally
-         the sequential engine applied subtree by subtree. Costs at
-         most one extra pass of [max_runs] executions, and only for
-         budget-limited explorations. *)
-      Mutex.lock lock;
-      Array.iteri (fun i st -> slots.(i) <- st.progress) subs;
-      Mutex.unlock lock;
-      let budget = ref cfg.max_runs in
-      let items = ref [] in
-      let stopped = ref false in
-      let cut = ref false in
-      for i = 0 to ntasks - 1 do
-        if not !stopped then
-          match subs.(i).progress with
-          | Done t -> items := M_tally t :: !items
-          | Todo | Active _ ->
-            if !budget <= 0 then begin
-              stopped := true;
-              cut := true
-            end
-            else begin
-              let base, forced = task_inputs i in
-              let floor = List.length subs.(i).prefix in
-              let r =
-                explore_core ~cfg ~stop_on_violation ~on_run ~base ~forced
-                  ~floor ~budget:!budget ~on_execution:None ~checkpoint_every
-                  ~on_checkpoint:(fun ck -> set_slot i (Active ck) ~emit:true)
-                  ~capture:None ~n ~participants ~subject ()
-              in
-              budget := !budget - r.r_executions;
-              set_slot i (Done (done_tally r)) ~emit:false;
-              items := M_res r :: !items;
-              if stop_on_violation && r.r_stats.violations <> [] then begin
-                stopped := true;
-                cut := true
-              end
-            end
-      done;
-      merge_items (List.rev !items) ~restore ~cut:!cut
-    end
-    else begin
-      let fl = Atomic.get viol_floor in
-      let cut = fl < max_int in
-      let last = if cut then min fl (ntasks - 1) else ntasks - 1 in
-      let items =
-        List.init (last + 1) (fun i ->
-            match Hashtbl.find_opt by_index i with
-            | None -> (
-              match subs.(i).progress with
-              | Done t -> M_tally t
-              | _ -> assert false)
-            | Some (Ok r) -> M_res r
-            | Some (Error eb) -> Parallel.reraise eb)
-      in
-      merge_items items ~restore ~cut
-    end
+  match torun with
+  | _ :: _ :: _ when domains > 1 -> optimistic torun
+  | _ -> in_order ()
 
 (* ------------------------------------------------------------------ *)
 (* Public entry point.                                                *)
@@ -711,33 +648,14 @@ let explore ?(config = config ()) ?(stop_on_violation = false)
     | Some d -> max 1 d
     | None -> Parallel.default_domains ()
   in
-  let seq ~base ~forced =
-    let on_checkpoint =
-      match on_checkpoint with
-      | None -> fun _ -> ()
-      | Some f -> fun ck -> f (Seq ck)
-    in
-    (explore_core ~cfg ~stop_on_violation ~on_run ~base ~forced ~floor:0
-       ~budget:cfg.max_runs ~on_execution:None ~checkpoint_every
-       ~on_checkpoint ~capture:None ~n ~participants ~subject ())
-      .r_stats
+  let subtrees =
+    match resume with
+    | Some subtrees -> subtrees
+    | None when domains <= 1 -> [ { prefix = []; progress = Todo } ]
+    | None -> split_subtrees ~cfg ~domains ~n ~participants ~subject
   in
-  let par subtrees =
-    explore_tasks ~cfg ~stop_on_violation ~on_run ~checkpoint_every
-      ~on_checkpoint ~domains ~subtrees ~n ~participants ~subject ()
-  in
-  match resume with
-  | Some (Seq ck) -> seq ~base:(tally_of_checkpoint ck) ~forced:ck.frontier
-  | Some (Par subtrees) -> par subtrees
-  | None ->
-    if domains <= 1 then seq ~base:zero_tally ~forced:[]
-    else begin
-      match split_subtrees ~cfg ~domains ~n ~participants ~subject with
-      | [] | [ _ ] ->
-        (* nothing to fan out: the tree has at most one subtree task *)
-        seq ~base:zero_tally ~forced:[]
-      | subtrees -> par subtrees
-    end
+  explore_tasks ~cfg ~stop_on_violation ~on_run ~checkpoint_every
+    ~on_checkpoint ~domains ~n ~participants ~subject subtrees
 
 let pp_stats ppf s =
   Format.fprintf ppf

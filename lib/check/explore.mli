@@ -1,5 +1,5 @@
 (** Systematic exploration of executor interleavings (bounded model
-    checking), sequential or fanned out over the
+    checking), as subtree tasks run in order or fanned out over the
     {!Fact_topology.Parallel} domain pool.
 
     The explorer enumerates schedules of {!Fact_runtime.Exec} by
@@ -34,19 +34,20 @@
     crashes among [crashable]) has been covered up to commutation of
     independent steps.
 
-    {b Parallel exploration.} With [domains > 1] (default:
-    [Parallel.default_domains], i.e. [FACT_DOMAINS]) the decision tree
-    is split into subtree tasks — each a forced (chosen, done)-prefix
-    whose branch set, sleep sets and sibling context are deterministic
-    functions of the prefix — and the tasks run on the work-stealing
-    domain pool, sleep-set pruning staying local to each subtree.
-    Per-task (runs, truncated, pruned, patterns) tallies are merged by
-    a deterministic reduction (counter sums, pattern-set union,
-    violation concatenation in task order), so the resulting stats are
-    bit-identical to the sequential engine for {e any} domain count.
-    If the [max_runs] budget trips, the optimistic parallel pass is
-    discarded and the tasks are replayed in order with exact
-    sequential budget semantics. See DESIGN.md §5. *)
+    {b Subtree tasks.} Every exploration runs as a list of subtree
+    tasks, each a forced (chosen, done)-prefix whose branch set, sleep
+    sets and sibling context are deterministic functions of the prefix.
+    With [domains = 1] the list is the single root task (empty prefix),
+    i.e. one DFS over the whole tree. With [domains > 1] (default:
+    [Parallel.default_domains], i.e. [FACT_DOMAINS]) the tree is split
+    into several tasks that run on the work-stealing domain pool,
+    sleep-set pruning staying local to each subtree. Per-task tallies
+    are merged by a deterministic reduction (counter sums, pattern-set
+    union, violation concatenation in task order), so the resulting
+    stats are bit-identical for {e any} domain count. If the [max_runs]
+    budget trips, the optimistic parallel pass is discarded and the
+    tasks are replayed in order with the exact budget. See DESIGN.md
+    §5b. *)
 
 open Fact_topology
 open Fact_runtime
@@ -78,56 +79,48 @@ type 'r stats = {
   exhausted : bool;      (** the whole bounded space was covered *)
 }
 
-type checkpoint = {
-  ck_runs : int;
-  ck_truncated : int;
-  ck_pruned : int;
-  ck_patterns : int list;
-      (** {!Pset.to_mask} of each completed run's faulty set *)
-  ck_viol : (Trace.decision list * bool) list;
-      (** the violating runs found so far, as (decisions, truncated)
-          pairs, oldest first. Only traces are persisted, never
-          verdicts: a resume re-evaluates each one by observed replay
-          against the current subject (and drops runs its assertions
-          now pass), so a checkpoint taken under one assertion set is
-          safe to resume under another. *)
-  frontier : (Trace.decision * Trace.decision list) list;
-      (** per depth, outermost first: the chosen decision and the
-          fully-explored siblings *)
-}
-(** A resumable snapshot of one DFS. [enabled], sleep sets and pending
-    operations are deliberately absent: they are deterministic
-    functions of the decision prefix, so resuming replays one run
-    under forcing along [frontier] to rebuild them. Serialized by
-    {!Checkpoint}. *)
+type frontier = (Trace.decision * Trace.decision list) list
+(** Per depth, outermost first: the chosen decision and the
+    fully-explored siblings. *)
 
 type tally = {
   t_runs : int;
   t_truncated : int;
   t_pruned : int;
   t_patterns : int list;
+      (** {!Pset.to_mask} of each completed run's faulty set *)
   t_viol : (Trace.decision list * bool) list;
-      (** violating runs of the subtree, as in [ck_viol] *)
+      (** the violating runs found so far, as (decisions, truncated)
+          pairs, oldest first. Only traces are persisted, never
+          verdicts: a resume re-evaluates each one by observed replay
+          against the current subject (and drops runs its assertions
+          now pass), so a checkpoint taken under one assertion set is
+          safe to resume under another. *)
   t_exhausted : bool;
+      (** the task covered its whole subtree (always [false] in
+          [Active]) *)
 }
-(** Final counters of a completed subtree task. *)
+(** The counters of one subtree task. *)
 
-type progress = Todo | Done of tally | Active of checkpoint
+type progress = Todo | Done of tally | Active of tally * frontier
 (** Where one subtree task stands: not started, finished, or
-    interrupted with a resumable frontier (the frontier extends the
-    subtree's prefix). *)
+    interrupted with its counters so far and a resumable frontier that
+    extends the subtree's prefix. [enabled] sets, sleep sets and
+    pending operations are deliberately absent: they are deterministic
+    functions of the decision prefix, so resuming replays one run under
+    forcing along the frontier to rebuild them. *)
 
 type subtree = {
-  prefix : (Trace.decision * Trace.decision list) list;
-      (** the forced (chosen, done)-prefix identifying the subtree *)
+  prefix : frontier;
+      (** the forced (chosen, done)-prefix identifying the subtree;
+          empty for the root task *)
   progress : progress;
 }
 
-type snapshot = Seq of checkpoint | Par of subtree list
-(** What [on_checkpoint] receives and [resume] accepts: a classic
-    single-DFS snapshot, or the per-subtree frontiers of a parallel
-    exploration. A [Par] snapshot can be resumed under any domain
-    count, including 1. *)
+type snapshot = subtree list
+(** What [on_checkpoint] receives and [resume] accepts: the progress
+    of every subtree task, in DFS order. A snapshot taken at any domain
+    count resumes at any other. Serialized by {!Checkpoint}. *)
 
 val explore :
   ?config:config ->
@@ -154,7 +147,9 @@ val explore :
     [false]) stops at the first failure — useful as a counterexample
     finder. [domains] (default [Parallel.default_domains ()]) > 1 fans
     the search out over the domain pool; the resulting stats are
-    identical whatever the value.
+    identical whatever the value. Every path runs the subtree-task
+    driver: one domain runs the single root task, or a resumed
+    snapshot's tasks in order.
 
     {b Parallel-mode caveats.} [subject] and [on_run] run on worker
     domains, possibly concurrently — they must be thread-safe (fresh
@@ -163,22 +158,20 @@ val explore :
     budget trips mid-search, the optimistic parallel pass is discarded
     and recomputed, so [on_run] may observe some runs more than once
     across the two passes — consumers should be idempotent. Splitting
-    the tree costs a handful of uncounted probe executions. With
-    [domains = 1] and no [Par] resume the engine is the classic
-    sequential loop, bit-for-bit.
+    the tree costs a handful of uncounted probe executions.
 
     {b Resilience.} The ambient {!Fact_resilience.Cancel} token is
     polled once per execution (on every worker); on a trip each task
     flushes its frontier and the explorer surfaces one final resumable
     snapshot through [on_checkpoint] before re-raising the typed
     error. [checkpoint_every = k > 0] also calls [on_checkpoint] every
-    [k] executions (per task in parallel mode). [resume] restores a
+    [k] executions (per task). [resume] restores a
     previous snapshot: counters continue from the snapshot and each
     interrupted DFS first replays its frontier under forcing, so the
     resumed exploration reaches exactly the stats an uninterrupted one
     would; recorded violations are re-evaluated by uncounted observed
     replays against the current subject rather than trusted (see
-    [ck_viol]). Resuming against a different protocol or configuration
+    [t_viol]). Resuming against a different protocol or configuration
     raises a [Precondition] {!Fact_resilience.Fact_error}. *)
 
 val pp_stats : Format.formatter -> 'r stats -> unit

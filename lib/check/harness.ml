@@ -235,18 +235,34 @@ let builtin ~protocol name =
 (* Ready-made explorations.                                           *)
 (* ------------------------------------------------------------------ *)
 
-let check_resume ~fn ~protocol ~n ~participants = function
-  | None -> None
-  | Some ck ->
-    if ck.Checkpoint.protocol <> protocol then
-      Fact_resilience.Fact_error.precondition ~fn
-        (Printf.sprintf "checkpoint is for protocol %S, not %S"
-           ck.Checkpoint.protocol protocol);
-    if ck.Checkpoint.n <> n || not (Pset.equal ck.participants participants)
-    then
-      Fact_resilience.Fact_error.precondition ~fn
-        "checkpoint universe does not match";
-    Some ck.Checkpoint.state
+(* The checkpoint plumbing shared by the explorations: a resumed
+   checkpoint must name this protocol and universe, and every emitted
+   snapshot is wrapped with them (plus [parts ()], the IS harness's
+   observed partitions). *)
+let explore ~fn ~protocol ?(parts = fun () -> []) ~config ?stop_on_violation
+    ?on_run ?resume ?checkpoint_every ?on_checkpoint ?domains ~n
+    ~participants ~subject () =
+  let resume =
+    Option.map
+      (fun (ck : Checkpoint.t) ->
+        if ck.protocol <> protocol then
+          Fact_resilience.Fact_error.precondition ~fn
+            (Printf.sprintf "checkpoint is for protocol %S, not %S"
+               ck.protocol protocol);
+        if ck.n <> n || not (Pset.equal ck.participants participants) then
+          Fact_resilience.Fact_error.precondition ~fn
+            "checkpoint universe does not match";
+        ck.state)
+      resume
+  in
+  let on_checkpoint =
+    Option.map
+      (fun f state ->
+        f { Checkpoint.protocol; n; participants; state; parts = parts () })
+      on_checkpoint
+  in
+  Explore.explore ~config ?stop_on_violation ?on_run ?resume
+    ?checkpoint_every ?on_checkpoint ?domains ~n ~participants ~subject ()
 
 let explore_immediate_snapshot ?(max_depth = 64) ?(max_runs = 100_000)
     ?mutation ?assertion ?stop_on_violation ?resume ?checkpoint_every
@@ -269,39 +285,22 @@ let explore_immediate_snapshot ?(max_depth = 64) ?(max_runs = 100_000)
         Mutex.unlock parts_lock
       | None -> ()
   in
-  let participants = Pset.full n in
-  let resume_state =
-    check_resume ~fn:"Harness.explore_immediate_snapshot" ~protocol:"is" ~n
-      ~participants resume
-  in
-  let on_checkpoint =
-    Option.map
-      (fun f state ->
-        let parts_now =
-          Mutex.lock parts_lock;
-          let ps = List.sort Opart.compare !parts in
-          Mutex.unlock parts_lock;
-          ps
-        in
-        f
-          {
-            Checkpoint.protocol = "is";
-            n;
-            participants;
-            state;
-            parts = parts_now;
-          })
-      on_checkpoint
+  let sorted_parts () =
+    Mutex.lock parts_lock;
+    let ps = List.sort Opart.compare !parts in
+    Mutex.unlock parts_lock;
+    ps
   in
   let stats =
-    Explore.explore
+    explore ~fn:"Harness.explore_immediate_snapshot" ~protocol:"is"
+      ~parts:sorted_parts
       ~config:(Explore.config ~max_depth ~max_runs ())
-      ?stop_on_violation ~on_run:record ?resume:resume_state ?checkpoint_every
-      ?on_checkpoint ?domains ~n ~participants
+      ?stop_on_violation ~on_run:record ?resume ?checkpoint_every
+      ?on_checkpoint ?domains ~n ~participants:(Pset.full n)
       ~subject:(is_subject ?mutation ?assertion ~n ())
       ()
   in
-  (stats, List.sort Opart.compare !parts)
+  (stats, sorted_parts ())
 
 let explore_algorithm1 ?(skip_wait = false) ?mutation ?variant ?assertion
     ?max_crashes ?(max_depth = 64) ?(max_runs = 100_000) ?stop_on_violation
@@ -315,22 +314,12 @@ let explore_algorithm1 ?(skip_wait = false) ?mutation ?variant ?assertion
       | Some t -> t
       | None -> 0)
   in
-  let resume_state =
-    check_resume ~fn:"Harness.explore_algorithm1" ~protocol:"alg1" ~n
-      ~participants resume
-  in
-  let on_checkpoint =
-    Option.map
-      (fun f state ->
-        f { Checkpoint.protocol = "alg1"; n; participants; state; parts = [] })
-      on_checkpoint
-  in
-  Explore.explore
+  explore ~fn:"Harness.explore_algorithm1" ~protocol:"alg1"
     ~config:
       (Explore.config ~max_crashes ~crashable:participants ~max_depth
          ~max_runs ())
-    ?stop_on_violation ?resume:resume_state ?checkpoint_every ?on_checkpoint
-    ?domains ~n ~participants
+    ?stop_on_violation ?resume ?checkpoint_every ?on_checkpoint ?domains ~n
+    ~participants
     ~subject:
       (alg1_subject ~skip_wait ?mutation ?variant ?assertion ~alpha
          ~participants ())
@@ -339,20 +328,9 @@ let explore_algorithm1 ?(skip_wait = false) ?mutation ?variant ?assertion
 let explore_snapmin ?mutation ?proposals ?k ?assertion ?(max_depth = 64)
     ?(max_runs = 100_000) ?stop_on_violation ?resume ?checkpoint_every
     ?on_checkpoint ?domains ~n () =
-  let participants = Pset.full n in
-  let resume_state =
-    check_resume ~fn:"Harness.explore_snapmin" ~protocol:"wsmin" ~n
-      ~participants resume
-  in
-  let on_checkpoint =
-    Option.map
-      (fun f state ->
-        f { Checkpoint.protocol = "wsmin"; n; participants; state; parts = [] })
-      on_checkpoint
-  in
-  Explore.explore
+  explore ~fn:"Harness.explore_snapmin" ~protocol:"wsmin"
     ~config:(Explore.config ~max_depth ~max_runs ())
-    ?stop_on_violation ?resume:resume_state ?checkpoint_every ?on_checkpoint
-    ?domains ~n ~participants
+    ?stop_on_violation ?resume ?checkpoint_every ?on_checkpoint ?domains ~n
+    ~participants:(Pset.full n)
     ~subject:(wsmin_subject ?mutation ?proposals ?k ?assertion ~n ())
     ()

@@ -62,13 +62,18 @@ let run ?(max_steps = 100_000) ?on_step ?on_crash ~schedule procs =
       (fun i -> match fibers.(i) with Terminated -> false | _ -> true)
       participants
   in
-  let kill pid =
+  (* Unwind a suspended fiber so its finalizers (if any) run and its
+     stack is freed: a continuation that is neither resumed nor
+     discontinued keeps its stack alive forever. *)
+  let unwind pid =
     (match fibers.(pid) with
     | Suspended k -> (
-      (* unwind the fiber so finalizers (if any) run *)
       try ignore (Effect.Deep.discontinue k Killed) with Killed -> ())
     | Not_started _ | Terminated -> ());
-    fibers.(pid) <- Terminated;
+    fibers.(pid) <- Terminated
+  in
+  let kill pid =
+    unwind pid;
     outcomes.(pid) <- Crashed steps_of.(pid)
   in
   let step pid =
@@ -113,6 +118,11 @@ let run ?(max_steps = 100_000) ?on_step ?on_crash ~schedule procs =
         end
   in
   loop ();
+  (* processes the schedule abandoned (truncated, blocked or budget-cut
+     runs) stay [Running] *)
+  for pid = 0 to n - 1 do
+    unwind pid
+  done;
   { outcomes; steps = !total; hit_step_budget = !hit_budget }
 
 let decided r =

@@ -46,7 +46,10 @@ val run :
     the schedule dictates, until every non-crashed participant has
     decided (or [max_steps], default 100_000, is hit — then remaining
     processes report [Running]). Non-participants report [Running]
-    with 0 steps. Exceptions raised by a process propagate.
+    with 0 steps. Exceptions raised by a process propagate. Before
+    [run] returns, every process still suspended is unwound (its
+    finalizers run once, no hook is called) so its fiber stack is
+    freed; it keeps reporting [Running].
 
     [on_step] is a trace hook called right before each scheduler step
     with the stepping process and the operation it is about to perform

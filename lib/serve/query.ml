@@ -124,11 +124,13 @@ let adversary ~n = function
     | [ "fig5b" ] -> Adversary.fig5b
     | [ "t-res"; t ] -> (
       match int_of_string_opt t with
-      | Some t -> Adversary.t_resilient ~n ~t
+      | Some t when t >= 0 && t < n -> Adversary.t_resilient ~n ~t
+      | Some t -> fail "t-res:%d needs 0 <= t < n = %d" t n
       | None -> fail "bad t-res parameter %S" t)
     | [ "k-of"; k ] -> (
       match int_of_string_opt k with
-      | Some k -> Adversary.k_obstruction_free ~n ~k
+      | Some k when k >= 1 && k <= n -> Adversary.k_obstruction_free ~n ~k
+      | Some k -> fail "k-of:%d needs 1 <= k <= n = %d" k n
       | None -> fail "bad k-of parameter %S" k)
     | _ -> fail "unknown preset %S" p)
   | Live [] -> fail "empty live-set list"

@@ -173,7 +173,13 @@ let test_local_cluster_identical () =
       Listener.stop listener;
       rm_rf base)
     (fun () ->
-      let spec = spec_of_string small_grid in
+      (* t-res:2 is out of range at n = 2: both backends must store the
+         same typed failure next to the valid cells *)
+      let spec =
+        spec_of_string
+          "((name small) (seed 7) (axes ((endpoint (ra)) (adversary \
+           (wait-free t-res:1 t-res:2)) (n (2)))))"
+      in
       let local = Filename.concat base "local"
       and cluster = Filename.concat base "cluster" in
       let p1 = Runner.run ~backend:Runner.Local ~dir:local spec in
@@ -187,8 +193,10 @@ let test_local_cluster_identical () =
                })
           ~dir:cluster spec
       in
-      check "local all ok" 2 p1.Runner.ok;
-      check "cluster all ok" 2 p2.Runner.ok;
+      check "local valid ok" 2 p1.Runner.ok;
+      check "cluster valid ok" 2 p2.Runner.ok;
+      check "local bad preset failed" 1 p1.Runner.failed;
+      check "cluster bad preset failed" 1 p2.Runner.failed;
       let files dir = Sys.readdir (Results.cells_dir dir) in
       let lf = files local and cf = files cluster in
       Array.sort compare lf;

@@ -396,7 +396,7 @@ let test_explore_cancellation_flushes () =
 
 let test_checkpoint_resume_parallel () =
   (* Pooled exploration: cancel mid-search at 4 domains, round-trip
-     the Par snapshot through the textual format, resume under the
+     the snapshot through the textual format, resume under the
      pool — final stats bit-identical to an uninterrupted run. *)
   let last = ref None in
   let t = Cancel.create ~trip_after:12 () in
@@ -413,7 +413,7 @@ let test_checkpoint_resume_parallel () =
     match Checkpoint.of_string (Checkpoint.to_string ck) with
     | Ok ck' ->
       Alcotest.(check string)
-        "Par snapshot round-trip" (Checkpoint.to_string ck)
+        "pooled snapshot round-trip" (Checkpoint.to_string ck)
         (Checkpoint.to_string ck');
       ck'
     | Error e -> Alcotest.failf "checkpoint parse: %s" e
@@ -426,6 +426,81 @@ let test_checkpoint_resume_parallel () =
   check "partitions" (List.length base_parts) (List.length parts);
   check_bool "same partitions" true
     (List.for_all2 Opart.equal base_parts parts)
+
+(* Checkpoints written before every exploration ran as subtree tasks,
+   both by [fact explore --protocol is -n 3 --max-runs 700 --checkpoint F
+   --checkpoint-every 100]: at [--domains 1] (the inline layout of the
+   old single-DFS writer) and at [--domains 4] ([subtrees] layout). *)
+let inline_layout_ck =
+  "((protocol is) (n 3) (participants (0 1 2)) (runs 328) (truncated \
+  0) (pruned 272) (patterns (0)) (frontier ((s0 ()) (s0 ()) (s1 \
+  (s0)) (s1 ()) (s0 ()) (s0 ()) (s0 ()) (s0 ()) (s1 (s0)) (s1 ()) \
+  (s2 (s1 s0)) (s2 ()) (s0 ()) (s2 (s1)))) (parts (((0) (1) (2)) \
+  ((0) (2) (1)) ((0) (1 2)) ((1) (0) (2)) ((0 1) (2)) ((2) (0) (1)) \
+  ((0 2) (1)))))"
+
+let subtrees_layout_ck =
+  "((protocol is) (n 3) (participants (0 1 2)) (subtrees (((prefix \
+  ((s0 ()) (s0 ()) (s0 ()))) (status (done (runs 320) (truncated 0) \
+  (pruned 268) (patterns (0)) (exhausted true)))) ((prefix ((s0 ()) \
+  (s0 ()) (s1 (s0)))) (status (active (runs 53) (truncated 0) \
+  (pruned 47) (patterns (0)) (frontier ((s0 ()) (s0 ()) (s1 (s0)) \
+  (s1 ()) (s0 ()) (s1 (s0))))))) ((prefix ((s0 ()) (s0 ()) (s2 (s1 \
+  s0)))) (status todo)) ((prefix ((s0 ()) (s1 (s0)) (s1 ()))) \
+  (status todo)) ((prefix ((s0 ()) (s1 (s0)) (s2 (s1)))) (status \
+  todo)) ((prefix ((s0 ()) (s2 (s1 s0)) (s2 ()))) (status todo)) \
+  ((prefix ((s1 (s0)) (s1 ()) (s1 ()))) (status todo)) ((prefix ((s1 \
+  (s0)) (s1 ()) (s2 (s1)))) (status todo)) ((prefix ((s1 (s0)) (s2 \
+  (s1)) (s2 ()))) (status todo)) ((prefix ((s2 (s1 s0)) (s2 ()) (s2 \
+  ()))) (status todo)))) (parts (((0) (1) (2)) ((0) (2) (1)) ((0) (1 \
+  2)) ((1) (0) (2)) ((0 1) (2)) ((2) (0) (1)) ((0 2) (1)))))"
+
+let test_checkpoint_older_files () =
+  let parse text =
+    match Checkpoint.of_string text with
+    | Ok ck -> ck
+    | Error e -> Alcotest.failf "older checkpoint rejected: %s" e
+  in
+  let inline = parse inline_layout_ck in
+  (match inline.Checkpoint.state with
+  | [ { Explore.prefix = []; progress = Explore.Active _ } ] -> ()
+  | _ -> Alcotest.fail "inline layout should load as one root active task");
+  (* the subtrees writer is unchanged: an old file re-serializes as is *)
+  Alcotest.(check string)
+    "subtrees layout bytes" subtrees_layout_ck
+    (Checkpoint.to_string (parse subtrees_layout_ck));
+  List.iter
+    (fun (layout, ck) ->
+      List.iter
+        (fun domains ->
+          let name = Printf.sprintf "%s at %d domains" layout domains in
+          let stats, parts =
+            Harness.explore_immediate_snapshot ~resume:ck ~domains ~n:3 ()
+          in
+          check (name ^ " runs") 1522 stats.Explore.runs;
+          check (name ^ " pruned") 1338 stats.Explore.pruned;
+          check_bool (name ^ " exhausted") true stats.Explore.exhausted;
+          check (name ^ " partitions") 13 (List.length parts))
+        [ 1; 2 ])
+    [ ("inline", inline); ("subtrees", parse subtrees_layout_ck) ]
+
+let test_checkpoint_save_atomic () =
+  let dir = Filename.temp_dir "fact-ck" "" in
+  let file = Filename.concat dir "is.ck" in
+  let first = interrupted_is ~n:2 ~max_runs:2 in
+  let second = interrupted_is ~n:2 ~max_runs:3 in
+  Checkpoint.save file first;
+  Checkpoint.save file second;
+  Alcotest.(check (array string)) "no temp file left" [| "is.ck" |]
+    (Sys.readdir dir);
+  (match Checkpoint.load file with
+  | Ok ck ->
+    Alcotest.(check string)
+      "loads back equal" (Checkpoint.to_string second)
+      (Checkpoint.to_string ck)
+  | Error e -> Alcotest.failf "reload: %s" e);
+  Sys.remove file;
+  Sys.rmdir dir
 
 (* ------------------------------------------------------------------ *)
 (* Chaos                                                              *)
@@ -527,6 +602,10 @@ let suite =
       test_explore_cancellation_flushes;
     Alcotest.test_case "checkpoint/resume under the pool" `Slow
       test_checkpoint_resume_parallel;
+    Alcotest.test_case "checkpoint older layouts resume" `Quick
+      test_checkpoint_older_files;
+    Alcotest.test_case "checkpoint save atomic" `Quick
+      test_checkpoint_save_atomic;
     Alcotest.test_case "chaos storm" `Slow test_chaos;
     Alcotest.test_case "R_A cancellation" `Quick test_ra_cancellation;
   ]

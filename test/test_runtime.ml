@@ -68,6 +68,32 @@ let test_exec_non_participant () =
     "only participants decide" [ (0, 0); (2, 2) ] (Exec.decided report);
   check_bool "p1 never ran" true (report.Exec.outcomes.(1) = Exec.Running)
 
+let test_exec_unwinds_abandoned () =
+  (* The schedule stops after one step, leaving p0 suspended at its
+     first yield: [run] must still unwind it (finalizer runs once, its
+     stack is freed) and report it as [Running]. *)
+  let finalized = ref 0 in
+  let proc _ =
+    Fun.protect
+      ~finally:(fun () -> incr finalized)
+      (fun () ->
+        Exec.yield ();
+        Exec.yield ();
+        0)
+  in
+  let steps = ref 0 in
+  let schedule =
+    Schedule.controlled ~n:1 ~participants:(Pset.full 1)
+      ~next:(fun ~alive:_ ~pending:_ ->
+        incr steps;
+        if !steps = 1 then Some 0 else None)
+      ~crash_now:(fun ~pid:_ ~steps_taken:_ -> false)
+  in
+  let report = Exec.run ~schedule [| proc |] in
+  check "finalizer ran once" 1 !finalized;
+  check_bool "abandoned process is Running" true
+    (report.Exec.outcomes.(0) = Exec.Running)
+
 let test_yield_outside_fiber () =
   (* yield is a no-op outside Exec.run, so protocols are also plain
      functions. *)
@@ -724,4 +750,5 @@ let suite =
     qt prop_is_random_schedules_with_crashes;
     qt prop_iis_lands_in_chr2;
     qt prop_iis_three_rounds_valid;
+    ("exec unwinds abandoned processes", `Quick, test_exec_unwinds_abandoned);
   ]
