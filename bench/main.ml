@@ -3,8 +3,8 @@
    One section per evaluation artifact of the paper (DESIGN.md §3):
    Figures 1a, 1b, 2, 3, 4, 5, 6, 7, Theorem 7 (Algorithm 1), the µ_Q
    properties (9/10/12), the FACT solvability equation (Theorems
-   15/16), the compactness observation (§1), and Bechamel performance
-   micro-benchmarks.
+   15/16) and the compactness observation (§1), plus the
+   BENCH_topology.json baseline of the timed entries.
 
    Usage:
      dune exec bench/main.exe                # everything
@@ -561,83 +561,6 @@ let explore_bench () =
   pf "[sleep sets prune commuting interleavings; truncation bounds wait loops]@."
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel performance micro-benchmarks                               *)
-(* ------------------------------------------------------------------ *)
-
-let perf () =
-  section "Performance micro-benchmarks (Bechamel)";
-  let open Bechamel in
-  let open Toolkit in
-  let alpha5b = Lazy.force alpha_5b in
-  let ra_complex = Ra.complex alpha5b ~n in
-  let ra_task = Affine_task.make ~ell:2 ra_complex in
-  let tests =
-    [
-      Test.make ~name:"Chr s (n=3)"
-        (Staged.stage (fun () -> Chr.subdivide (Chr.standard 3)));
-      Test.make ~name:"Chr^2 s (n=3)"
-        (Staged.stage (fun () -> Chr.iterate 2 (Chr.standard 3)));
-      Test.make ~name:"Chr s (n=4)"
-        (Staged.stage (fun () -> Chr.subdivide (Chr.standard 4)));
-      Test.make ~name:"setcon fig5b"
-        (Staged.stage (fun () -> Setcon.setcon Adversary.fig5b));
-      Test.make ~name:"setcon 3-res (n=6)"
-        (Staged.stage (fun () ->
-             Setcon.setcon (Adversary.t_resilient ~n:6 ~t:3)));
-      Test.make ~name:"csize 3-res (n=6)"
-        (Staged.stage (fun () ->
-             Hitting.csize
-               (Adversary.live_sets (Adversary.t_resilient ~n:6 ~t:3))));
-      Test.make ~name:"fairness check fig5b"
-        (Staged.stage (fun () -> Fairness.is_fair Adversary.fig5b));
-      Test.make ~name:"R_A(fig5b) construction (n=3)"
-        (Staged.stage (fun () -> Ra.complex alpha5b ~n:3));
-      Test.make ~name:"Algorithm1 run (n=3, 1-res)"
-        (let alpha = Agreement.of_adversary (Adversary.t_resilient ~n:3 ~t:1) in
-         let seed = ref 0 in
-         Staged.stage (fun () ->
-             incr seed;
-             let schedule =
-               Schedule.alpha_model ~seed:!seed alpha
-                 ~participation:(Pset.full 3)
-             in
-             ignore (Algorithm1.run alpha ~schedule)));
-      Test.make ~name:"mu leader (fig5b)"
-        (let f = List.hd (Complex.facets ra_complex) in
-         let v = List.hd (Simplex.vertices f) in
-         Staged.stage (fun () ->
-             Mu.leader alpha5b ~q:(Pset.full 3) v));
-      Test.make ~name:"adaptive consensus round (fig5b)"
-        (let seed = ref 0 in
-         Staged.stage (fun () ->
-             incr seed;
-             Adaptive_consensus.solve ~task:ra_task ~alpha:alpha5b
-               ~q:(Pset.full 3)
-               ~proposals:(fun pid -> pid)
-               ~picker:(Affine_runner.random_picker ~seed:!seed)
-               ()));
-    ]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.3) () in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let ols =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false
-             ~predictors:[| Measure.run |])
-          Instance.monotonic_clock results
-      in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> pf "%-40s %12.1f ns/run@." name est
-          | _ -> pf "%-40s (no estimate)@." name)
-        ols)
-    tests
-
-(* ------------------------------------------------------------------ *)
 (* JSON baseline: the wall-clock numbers tracked across PRs            *)
 (* ------------------------------------------------------------------ *)
 
@@ -701,7 +624,6 @@ let sections =
     ("explore", explore_bench);
     ("link", link);
     ("geom", geom);
-    ("perf", perf);
   ]
 
 let () =

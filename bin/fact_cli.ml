@@ -549,25 +549,21 @@ let assert_cmd =
 (* ----------------------------- chaos ------------------------------ *)
 
 let chaos_run seed max_faults serve_faults cluster_faults =
-  let stats = Chaos.run ~seed ~max_faults () in
-  pf "chaos: %a@." Chaos.pp_stats stats;
-  let serve_violations =
-    if serve_faults < 1 then []
-    else begin
-      let s = Serve_chaos.run ~seed ~max_faults:serve_faults () in
-      pf "%a@." Serve_chaos.pp_stats s;
-      s.Serve_chaos.violations
-    end
+  let report stats =
+    pf "%a@." Chaos.pp_stats stats;
+    stats.Chaos.violations
   in
-  let cluster_violations =
-    if cluster_faults < 1 then []
-    else begin
-      let s = Serve_chaos.run_cluster ~seed ~max_faults:cluster_faults () in
-      pf "%a@." Serve_chaos.pp_cluster_stats s;
-      s.Serve_chaos.c_violations
-    end
+  let optional faults run = if faults < 1 then [] else report (run faults) in
+  let pipeline = report (Chaos.run ~seed ~max_faults ()) in
+  let serve =
+    optional serve_faults (fun max_faults ->
+        Serve_chaos.run ~seed ~max_faults ())
   in
-  match stats.Chaos.violations @ serve_violations @ cluster_violations with
+  let cluster =
+    optional cluster_faults (fun max_faults ->
+        Serve_chaos.run_cluster ~seed ~max_faults ())
+  in
+  match pipeline @ serve @ cluster with
   | [] -> pf "all invariants held@."
   | vs ->
     List.iter (fun m -> pf "violation: %s@." m) vs;

@@ -20,8 +20,9 @@ let env_check =
   | Some ("1" | "true" | "yes") -> true
   | _ -> false
 
-let checking = Atomic.make env_check
-let set_check b = Atomic.set checking b
+let check_flag = Atomic.make env_check
+let set_check b = Atomic.set check_flag b
+let checking () = Atomic.get check_flag
 
 (* Evicted entries parked for the recompute-equality check are bounded
    too: a runaway shadow would defeat the point of capping. *)
@@ -98,7 +99,7 @@ module Make (K : Hashtbl.HashedType) = struct
       (fun (k, e) ->
         H.remove t.tbl k;
         t.evictions <- t.evictions + 1;
-        if Atomic.get checking then begin
+        if Atomic.get check_flag then begin
           if H.length t.shadow >= shadow_cap then H.reset t.shadow;
           H.replace t.shadow k e.value
         end)
@@ -177,7 +178,7 @@ module Make (K : Hashtbl.HashedType) = struct
       let v = compute key in
       Mutex.lock t.lock;
       let stale =
-        if Atomic.get checking then H.find_opt t.shadow key else None
+        if Atomic.get check_flag then H.find_opt t.shadow key else None
       in
       let victims =
         match H.find_opt t.tbl key with

@@ -46,6 +46,9 @@ val set_check : bool -> unit
 (** Enable/disable the eviction invariant check (default:
     [FACT_CACHE_CHECK=1] in the environment). *)
 
+val checking : unit -> bool
+(** Whether the eviction invariant check is on. *)
+
 module Make (K : Hashtbl.HashedType) : sig
   type 'a t
 

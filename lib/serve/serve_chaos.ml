@@ -1,80 +1,77 @@
 module Fact_error = Fact_resilience.Fact_error
 module Cache = Fact_resilience.Cache
 module Backoff = Fact_resilience.Backoff
-
-type stats = {
-  injected : int;
-  disconnects : int;
-  corruptions : int;
-  evictions : int;
-  bad_frames : int;
-  typed_errors : int;
-  recovered : int;
-  violations : string list;
-}
-
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "@[<v>serve chaos: %d faults injected@,\
-     \ disconnects       %d@,\
-     \ store corruptions %d@,\
-     \ forced evictions  %d@,\
-     \ bad frames        %d@,\
-     \ typed refusals    %d@,\
-     \ recovered         %d@,\
-     \ violations        %d@]"
-    s.injected s.disconnects s.corruptions s.evictions s.bad_frames
-    s.typed_errors s.recovered (List.length s.violations);
-  List.iter (fun v -> Format.fprintf ppf "@,  VIOLATION: %s" v) s.violations
-
-type ctx = {
-  rng : Random.State.t;
-  sock_path : string;
-  store : Store.t;
-  listener : Listener.t;
-  reference : string;  (* fault-free payload for [ref_query] *)
-  mutable disconnects : int;
-  mutable corruptions : int;
-  mutable evictions : int;
-  mutable bad_frames : int;
-  mutable typed_errors : int;
-  mutable recovered : int;
-  mutable violations : string list;
-}
+module Chaos = Fact_check.Chaos
 
 let ref_query = Query.Ra { n = 2; adv = Query.Preset "wait-free" }
 
-let violation ctx fmt =
-  Printf.ksprintf (fun m -> ctx.violations <- m :: ctx.violations) fmt
+(* One throwaway directory around setup, storm and teardown alike. *)
+let with_temp_dir prefix f =
+  let base = Filename.get_temp_dir_name () in
+  let rec fresh i =
+    let d =
+      Filename.concat base (Printf.sprintf "%s-%d-%d" prefix (Unix.getpid ()) i)
+    in
+    match Unix.mkdir d 0o700 with
+    | () -> d
+    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> fresh (i + 1)
+  in
+  let rec rm_rf dir =
+    match Sys.readdir dir with
+    | exception Sys_error _ -> ()
+    | files ->
+      Array.iter
+        (fun f ->
+          let p = Filename.concat dir f in
+          if try Sys.is_directory p with Sys_error _ -> false then rm_rf p
+          else try Sys.remove p with Sys_error _ -> ())
+        files;
+      (try Unix.rmdir dir with Unix.Unix_error _ -> ())
+  in
+  let dir = fresh 0 in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
-let addr ctx = Listener.Unix_sock ctx.sock_path
+let scribble rng file =
+  let garbage =
+    if Random.State.bool rng then "((store-version 1) (truncated"
+    else String.init 64 (fun _ -> Char.chr (Random.State.int rng 256))
+  in
+  let oc = open_out file in
+  output_string oc garbage;
+  close_out oc
+
+(* ----------------------------- listener ----------------------------- *)
+
+type env = {
+  sock_path : string;
+  store : Store.t;
+  reference : string;  (* fault-free payload for [ref_query] *)
+}
+
+let addr env = Listener.Unix_sock env.sock_path
 
 (* Checks the server end-to-end after a fault: a fresh client must get
    the byte-identical fault-free payload. *)
-let check_recovered ctx what =
+let check_recovered p env what =
   match
-    Client.with_connection (addr ctx) (fun c -> fst (Client.query c ref_query))
+    Client.with_connection (addr env) (fun c -> fst (Client.query c ref_query))
   with
   | payload ->
-    if String.equal payload ctx.reference then ctx.recovered <- ctx.recovered + 1
-    else violation ctx "%s: payload drifted from reference" what
+    if String.equal payload env.reference then Chaos.recovered p
+    else Chaos.violation p "%s: payload drifted from reference" what
   | exception Fact_error.Error e ->
-    violation ctx "%s: recovery query refused: %s" what (Fact_error.to_string e)
-  | exception e ->
-    violation ctx "%s: untyped escape: %s" what (Printexc.to_string e)
+    Chaos.violation p "%s: recovery query refused: %s" what
+      (Fact_error.to_string e)
 
-let raw_connect ctx =
+let raw_connect env =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX ctx.sock_path);
+  Unix.connect fd (Unix.ADDR_UNIX env.sock_path);
   fd
 
-(* ----------------------------- faults ------------------------------ *)
-
-let inject_disconnect ctx =
-  ctx.disconnects <- ctx.disconnects + 1;
+let inject_disconnect p env =
   (* send a valid query, hang up without reading the response: the
      server's write hits a dead peer mid-response *)
-  (match raw_connect ctx with
+  (match raw_connect env with
   | fd ->
     let req = Wire.Query { query = ref_query; deadline_s = None } in
     (try
@@ -84,32 +81,22 @@ let inject_disconnect ctx =
     (try Unix.close fd with Unix.Unix_error _ -> ())
   | exception Unix.Unix_error _ -> ());
   Thread.yield ();
-  check_recovered ctx "disconnect"
+  check_recovered p env "disconnect"
 
-let inject_corruption ctx =
-  ctx.corruptions <- ctx.corruptions + 1;
+let inject_corruption p env =
   let digest = Digest.of_query ref_query in
-  let file = Filename.concat (Store.dir ctx.store) (digest ^ ".fact") in
-  let garbage =
-    if Random.State.bool ctx.rng then "((store-version 1) (truncated"
-    else String.init 64 (fun _ -> Char.chr (Random.State.int ctx.rng 256))
-  in
-  let oc = open_out file in
-  output_string oc garbage;
-  close_out oc;
+  scribble (Chaos.rng p)
+    (Filename.concat (Store.dir env.store) (digest ^ ".fact"));
   (* the defensive read must drop the entry, not surface garbage *)
-  (match Store.get ctx.store ~digest with
-  | None -> ctx.typed_errors <- ctx.typed_errors + 1
+  (match Store.get env.store ~digest with
+  | None -> Chaos.typed p
   | Some payload ->
-    if String.equal payload ctx.reference then ()
-    else violation ctx "corruption: store served garbage"
-  | exception e ->
-    violation ctx "corruption: untyped escape: %s" (Printexc.to_string e));
+    if not (String.equal payload env.reference) then
+      Chaos.violation p "corruption: store served garbage");
   (* and a served query must recompute (or answer from memory) fine *)
-  check_recovered ctx "corruption"
+  check_recovered p env "corruption"
 
-let inject_eviction ctx =
-  ctx.evictions <- ctx.evictions + 1;
+let inject_eviction p env =
   (* flush every bounded cache while requests are in flight *)
   let results = Array.make 3 None in
   let workers =
@@ -120,7 +107,7 @@ let inject_eviction ctx =
               Some
                 (try
                    `Payload
-                     (Client.with_connection (addr ctx) (fun c ->
+                     (Client.with_connection (addr env) (fun c ->
                           fst (Client.query c ref_query)))
                  with
                 | Fact_error.Error e -> `Typed e
@@ -131,23 +118,22 @@ let inject_eviction ctx =
   Array.iter Thread.join workers;
   Array.iter
     (function
-      | Some (`Payload p) ->
-        if String.equal p ctx.reference then ctx.recovered <- ctx.recovered + 1
-        else violation ctx "eviction: payload drifted from reference"
+      | Some (`Payload s) ->
+        if String.equal s env.reference then Chaos.recovered p
+        else Chaos.violation p "eviction: payload drifted from reference"
       | Some (`Typed e) ->
-        violation ctx "eviction: query refused: %s" (Fact_error.to_string e)
-      | Some (`Untyped m) -> violation ctx "eviction: untyped escape: %s" m
-      | None -> violation ctx "eviction: worker produced no result")
+        Chaos.violation p "eviction: query refused: %s" (Fact_error.to_string e)
+      | Some (`Untyped m) -> Chaos.violation p "eviction: untyped escape: %s" m
+      | None -> Chaos.violation p "eviction: worker produced no result")
     results
 
-let inject_bad_frame ctx =
-  ctx.bad_frames <- ctx.bad_frames + 1;
-  if Random.State.bool ctx.rng then begin
+let inject_bad_frame p env =
+  if Random.State.bool (Chaos.rng p) then begin
     (* well-framed garbage: typed refusal, connection stays usable *)
-    match raw_connect ctx with
-    | exception Unix.Unix_error _ -> violation ctx "bad-frame: connect failed"
+    match raw_connect env with
+    | exception Unix.Unix_error _ ->
+      Chaos.violation p "bad-frame: connect failed"
     | fd ->
-      let finish () = try Unix.close fd with Unix.Unix_error _ -> () in
       (match
          Wire.write_frame fd "((this is (not a request";
          Wire.read_frame ~max_frame:Wire.default_max_frame fd
@@ -156,28 +142,30 @@ let inject_bad_frame ctx =
         match
           Result.bind (Fact_sexp.Sexp.of_string raw) Wire.response_of_sexp
         with
-        | Ok (Wire.Refused (Fact_error.Precondition _)) ->
-          ctx.typed_errors <- ctx.typed_errors + 1;
+        | Ok (Wire.Refused (Fact_error.Precondition _)) -> (
+          Chaos.typed p;
           (* same connection must still answer *)
-          (try
-             Wire.write_frame fd
-               (Fact_sexp.Sexp.to_string (Wire.request_to_sexp Wire.Ping));
-             match Wire.read_frame ~max_frame:Wire.default_max_frame fd with
-             | Ok _ -> ctx.recovered <- ctx.recovered + 1
-             | Error _ -> violation ctx "bad-frame: connection died after refusal"
-           with Unix.Unix_error _ ->
-             violation ctx "bad-frame: connection died after refusal")
-        | Ok _ -> violation ctx "bad-frame: expected a Precondition refusal"
-        | Error m -> violation ctx "bad-frame: unreadable reply: %s" m)
-      | Error _ -> violation ctx "bad-frame: no reply to malformed request"
+          try
+            Wire.write_frame fd
+              (Fact_sexp.Sexp.to_string (Wire.request_to_sexp Wire.Ping));
+            match Wire.read_frame ~max_frame:Wire.default_max_frame fd with
+            | Ok _ -> Chaos.recovered p
+            | Error _ ->
+              Chaos.violation p "bad-frame: connection died after refusal"
+          with Unix.Unix_error _ ->
+            Chaos.violation p "bad-frame: connection died after refusal")
+        | Ok _ -> Chaos.violation p "bad-frame: expected a Precondition refusal"
+        | Error m -> Chaos.violation p "bad-frame: unreadable reply: %s" m)
+      | Error _ -> Chaos.violation p "bad-frame: no reply to malformed request"
       | exception Unix.Unix_error (e, _, _) ->
-        violation ctx "bad-frame: %s" (Unix.error_message e));
-      finish ()
+        Chaos.violation p "bad-frame: %s" (Unix.error_message e));
+      (try Unix.close fd with Unix.Unix_error _ -> ())
   end
   else begin
     (* oversized length prefix: typed refusal, then the server closes *)
-    match raw_connect ctx with
-    | exception Unix.Unix_error _ -> violation ctx "oversized: connect failed"
+    match raw_connect env with
+    | exception Unix.Unix_error _ ->
+      Chaos.violation p "oversized: connect failed"
     | fd ->
       let hdr = Bytes.create 4 in
       Bytes.set_int32_be hdr 0 (Int32.of_int (Wire.default_max_frame + 1));
@@ -195,93 +183,61 @@ let inject_bad_frame ctx =
         match
           Result.bind (Fact_sexp.Sexp.of_string raw) Wire.response_of_sexp
         with
-        | Ok (Wire.Refused (Fact_error.Resource_limit _)) ->
-          ctx.typed_errors <- ctx.typed_errors + 1
-        | Ok _ -> violation ctx "oversized: expected a Resource_limit refusal"
-        | Error m -> violation ctx "oversized: unreadable reply: %s" m)
-      | Error _ -> violation ctx "oversized: no reply"
+        | Ok (Wire.Refused (Fact_error.Resource_limit _)) -> Chaos.typed p
+        | Ok _ ->
+          Chaos.violation p "oversized: expected a Resource_limit refusal"
+        | Error m -> Chaos.violation p "oversized: unreadable reply: %s" m)
+      | Error _ -> Chaos.violation p "oversized: no reply"
       | exception Unix.Unix_error (e, _, _) ->
-        violation ctx "oversized: %s" (Unix.error_message e));
+        Chaos.violation p "oversized: %s" (Unix.error_message e));
       (try Unix.close fd with Unix.Unix_error _ -> ())
   end;
   (* whatever happened, the listener itself must still serve *)
-  check_recovered ctx "bad-frame"
+  check_recovered p env "bad-frame"
 
-(* ------------------------------- run ------------------------------- *)
+let run ?seed ~max_faults () =
+  Chaos.drive ~fn:"Serve_chaos.run" ~tier:"listener" ~salt:0x5e12e ?seed
+    ~max_faults
+    ~with_env:(fun _ storm ->
+      with_temp_dir "fact-serve-chaos" (fun dir ->
+          let sock_path = Filename.concat dir "chaos.sock" in
+          let store = Store.open_dir (Filename.concat dir "store") in
+          let scheduler = Scheduler.create ~store () in
+          let listener =
+            Listener.start_scheduler ~scheduler (Listener.Unix_sock sock_path)
+          in
+          Fun.protect
+            ~finally:(fun () -> try Listener.stop listener with _ -> ())
+            (fun () ->
+              let reference =
+                Client.with_connection (Listener.Unix_sock sock_path) (fun c ->
+                    fst (Client.query c ref_query))
+              in
+              storm { sock_path; store; reference })))
+    Chaos.
+      [
+        { kind = "disconnects"; inject = inject_disconnect };
+        { kind = "store corruptions"; inject = inject_corruption };
+        { kind = "forced evictions"; inject = inject_eviction };
+        { kind = "bad frames"; inject = inject_bad_frame };
+      ]
 
-let fresh_dir () =
-  let base = Filename.get_temp_dir_name () in
-  let rec go i =
-    let d =
-      Filename.concat base
-        (Printf.sprintf "fact-serve-chaos-%d-%d" (Unix.getpid ()) i)
-    in
-    match Unix.mkdir d 0o700 with
-    | () -> d
-    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> go (i + 1)
-  in
-  go 0
+(* ------------------------------ cluster ----------------------------- *)
 
-let rm_rf dir =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> ()
-  | files ->
-    Array.iter
-      (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-      files;
-    (try Unix.rmdir dir with Unix.Unix_error _ -> ())
-
-(* ------------------------- cluster storms -------------------------- *)
-
-type cluster_stats = {
-  c_injected : int;
-  kills : int;
-  replica_corruptions : int;
-  stalls : int;
-  blackouts : int;
-  c_recovered : int;
-  repaired_replicas : int;
-  c_violations : string list;
-}
-
-let pp_cluster_stats ppf s =
-  Format.fprintf ppf
-    "@[<v>cluster chaos: %d faults injected@,\
-     \ worker kills (-9)   %d@,\
-     \ replica corruptions %d@,\
-     \ heartbeat stalls    %d@,\
-     \ shard blackouts     %d@,\
-     \ recovered           %d@,\
-     \ repaired replicas   %d@,\
-     \ violations          %d@]"
-    s.c_injected s.kills s.replica_corruptions s.stalls s.blackouts
-    s.c_recovered s.repaired_replicas (List.length s.c_violations);
-  List.iter (fun v -> Format.fprintf ppf "@,  VIOLATION: %s" v) s.c_violations
-
-type cctx = {
-  crng : Random.State.t;
+type cenv = {
   cluster : Cluster.t;
   shards : int;
   replicas : int;
   creference : string;  (* one-shot [Query.eval ref_query] *)
   ref_shard : int;
   ref_digest : string;
-  mutable kills : int;
-  mutable replica_corruptions : int;
-  mutable stalls : int;
-  mutable blackouts : int;
-  mutable c_recovered : int;
-  mutable repaired_replicas : int;
-  mutable c_violations : string list;
 }
 
-let cviolation ctx fmt =
-  Printf.ksprintf (fun m -> ctx.c_violations <- m :: ctx.c_violations) fmt
-
 (* one front-tier query, straight through the handler *)
-let cquery ctx =
+let cquery env =
   match
-    Cluster.handler ctx.cluster (Wire.Query { query = ref_query; deadline_s = None })
+    Cluster.handler env.cluster
+      (Wire.Query { query = ref_query; deadline_s = None })
   with
   | Wire.Payload { payload; source } -> Ok (payload, source)
   | Wire.Refused e -> Error (Fact_error.to_string e)
@@ -290,58 +246,46 @@ let cquery ctx =
 
 (* availability invariant: after any fault, a query must succeed with
    the byte-identical one-shot payload *)
-let ccheck ctx what =
-  match cquery ctx with
+let ccheck p env what =
+  match cquery env with
   | Ok (payload, _) ->
-    if String.equal payload ctx.creference then
-      ctx.c_recovered <- ctx.c_recovered + 1
-    else cviolation ctx "%s: payload drifted from one-shot eval" what
-  | Error m -> cviolation ctx "%s: query failed: %s" what m
+    if String.equal payload env.creference then Chaos.recovered p
+    else Chaos.violation p "%s: payload drifted from one-shot eval" what
+  | Error m -> Chaos.violation p "%s: query failed: %s" what m
 
-let wait_state ctx ~shard ~replica ~timeout_s pred =
-  let deadline = Unix.gettimeofday () +. timeout_s in
+let wait_up p env ~shard ~replica what =
+  let state () = Cluster.worker_state env.cluster ~shard ~replica in
+  let deadline = Unix.gettimeofday () +. 15. in
   let rec poll () =
-    if pred (Cluster.worker_state ctx.cluster ~shard ~replica) then true
-    else if Unix.gettimeofday () > deadline then false
-    else begin
+    match state () with
+    | Supervisor.Up _ -> ()
+    | _ when Unix.gettimeofday () > deadline ->
+      Chaos.violation p "%s: worker %d/%d not restarted (state %s)" what shard
+        replica
+        (Supervisor.state_to_string (state ()))
+    | _ ->
       Thread.delay 0.05;
       poll ()
-    end
   in
   poll ()
 
-let wait_up ctx ~shard ~replica what =
-  if
-    not
-      (wait_state ctx ~shard ~replica ~timeout_s:15. (function
-        | Supervisor.Up _ -> true
-        | _ -> false))
-  then
-    cviolation ctx "%s: worker %d/%d not restarted (state %s)" what shard
-      replica
-      (Supervisor.state_to_string (Cluster.worker_state ctx.cluster ~shard ~replica))
-
-let ref_entry_path ctx ~replica =
+let ref_entry_path env ~replica =
   Filename.concat
-    (Cluster.worker_dir ctx.cluster ~shard:ctx.ref_shard ~replica)
-    (ctx.ref_digest ^ ".fact")
+    (Cluster.worker_dir env.cluster ~shard:env.ref_shard ~replica)
+    (env.ref_digest ^ ".fact")
 
 (* read-repair convergence: after a query, the replica's store must
    regain the reference entry *)
-let wait_repaired ctx ~replica what =
+let wait_repaired p env ~replica what =
   let deadline = Unix.gettimeofday () +. 10. in
   let rec poll () =
-    if Sys.file_exists (ref_entry_path ctx ~replica) then begin
-      ctx.repaired_replicas <- ctx.repaired_replicas + 1;
-      true
-    end
-    else if Unix.gettimeofday () > deadline then begin
-      cviolation ctx "%s: read-repair did not restore replica %d of shard %d"
-        what replica ctx.ref_shard;
-      false
-    end
+    if Sys.file_exists (ref_entry_path env ~replica) then
+      Chaos.bump p "repaired replicas"
+    else if Unix.gettimeofday () > deadline then
+      Chaos.violation p "%s: read-repair did not restore replica %d of shard %d"
+        what replica env.ref_shard
     else begin
-      ignore (cquery ctx);
+      ignore (cquery env);
       Thread.delay 0.1;
       poll ()
     end
@@ -349,199 +293,102 @@ let wait_repaired ctx ~replica what =
   poll ()
 
 (* kill -9 a random worker while requests are in flight *)
-let inject_kill ctx =
-  ctx.kills <- ctx.kills + 1;
-  let shard = Random.State.int ctx.crng ctx.shards in
-  let replica = Random.State.int ctx.crng ctx.replicas in
+let inject_kill p env =
+  let shard = Random.State.int (Chaos.rng p) env.shards in
+  let replica = Random.State.int (Chaos.rng p) env.replicas in
   let outcomes = Array.make 3 (Error "no result") in
   let clients =
-    Array.init 3 (fun i -> Thread.create (fun () -> outcomes.(i) <- cquery ctx) ())
+    Array.init 3 (fun i ->
+        Thread.create (fun () -> outcomes.(i) <- cquery env) ())
   in
-  Cluster.kill_worker ctx.cluster ~shard ~replica;
+  Cluster.kill_worker env.cluster ~shard ~replica;
   Array.iter Thread.join clients;
   Array.iter
     (function
       | Ok (payload, _) ->
-        if String.equal payload ctx.creference then
-          ctx.c_recovered <- ctx.c_recovered + 1
-        else cviolation ctx "kill: mid-request payload drifted"
-      | Error m -> cviolation ctx "kill: mid-request query failed: %s" m)
+        if String.equal payload env.creference then Chaos.recovered p
+        else Chaos.violation p "kill: mid-request payload drifted"
+      | Error m -> Chaos.violation p "kill: mid-request query failed: %s" m)
     outcomes;
-  wait_up ctx ~shard ~replica "kill";
-  ccheck ctx "kill"
+  wait_up p env ~shard ~replica "kill";
+  ccheck p env "kill"
 
 (* corrupt the reference entry in one replica's store, then kill that
    worker: the restart must quarantine the garbage (never serve it)
    and read-repair must put the entry back *)
-let inject_replica_corruption ctx =
-  ctx.replica_corruptions <- ctx.replica_corruptions + 1;
-  let replica = Random.State.int ctx.crng ctx.replicas in
-  let file = ref_entry_path ctx ~replica in
-  let garbage =
-    if Random.State.bool ctx.crng then "((store-version 1) (truncated"
-    else String.init 64 (fun _ -> Char.chr (Random.State.int ctx.crng 256))
-  in
-  (try
-     let oc = open_out file in
-     output_string oc garbage;
-     close_out oc
+let inject_replica_corruption p env =
+  let replica = Random.State.int (Chaos.rng p) env.replicas in
+  (try scribble (Chaos.rng p) (ref_entry_path env ~replica)
    with Sys_error _ -> ());
-  Cluster.kill_worker ctx.cluster ~shard:ctx.ref_shard ~replica;
-  wait_up ctx ~shard:ctx.ref_shard ~replica "corruption";
-  ccheck ctx "corruption";
-  ignore (wait_repaired ctx ~replica "corruption")
+  Cluster.kill_worker env.cluster ~shard:env.ref_shard ~replica;
+  wait_up p env ~shard:env.ref_shard ~replica "corruption";
+  ccheck p env "corruption";
+  wait_repaired p env ~replica "corruption"
 
 (* SIGSTOP: the worker is alive but silent; heartbeats must mark it
    down and routing must prefer its twin *)
-let inject_stall ctx =
-  ctx.stalls <- ctx.stalls + 1;
-  let shard = Random.State.int ctx.crng ctx.shards in
-  let replica = Random.State.int ctx.crng ctx.replicas in
-  Cluster.pause_worker ctx.cluster ~shard ~replica;
+let inject_stall p env =
+  let shard = Random.State.int (Chaos.rng p) env.shards in
+  let replica = Random.State.int (Chaos.rng p) env.replicas in
+  Cluster.pause_worker env.cluster ~shard ~replica;
   (* two heartbeat periods at 0.2s, fail_threshold 2: health flips *)
   Thread.delay 0.6;
-  ccheck ctx "stall";
-  Cluster.resume_worker ctx.cluster ~shard ~replica;
-  ccheck ctx "stall-resume"
+  ccheck p env "stall";
+  Cluster.resume_worker env.cluster ~shard ~replica;
+  ccheck p env "stall-resume"
 
 (* kill every replica of the reference shard at once: the front tier
    must degrade to local evaluation rather than fail, and the shard's
    stores must be repopulated once the workers return *)
-let inject_blackout ctx =
-  ctx.blackouts <- ctx.blackouts + 1;
-  for replica = 0 to ctx.replicas - 1 do
-    Cluster.kill_worker ctx.cluster ~shard:ctx.ref_shard ~replica
+let inject_blackout p env =
+  for replica = 0 to env.replicas - 1 do
+    Cluster.kill_worker env.cluster ~shard:env.ref_shard ~replica
   done;
-  ccheck ctx "blackout";
-  for replica = 0 to ctx.replicas - 1 do
-    wait_up ctx ~shard:ctx.ref_shard ~replica "blackout"
+  ccheck p env "blackout";
+  for replica = 0 to env.replicas - 1 do
+    wait_up p env ~shard:env.ref_shard ~replica "blackout"
   done;
-  ccheck ctx "blackout-recovered";
-  for replica = 0 to ctx.replicas - 1 do
-    ignore (wait_repaired ctx ~replica "blackout")
+  ccheck p env "blackout-recovered";
+  for replica = 0 to env.replicas - 1 do
+    wait_repaired p env ~replica "blackout"
   done
 
-let rec rm_rf_rec dir =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> ()
-  | files ->
-    Array.iter
-      (fun f ->
-        let p = Filename.concat dir f in
-        if (try Sys.is_directory p with Sys_error _ -> false) then rm_rf_rec p
-        else try Sys.remove p with Sys_error _ -> ())
-      files;
-    (try Unix.rmdir dir with Unix.Unix_error _ -> ())
-
-let run_cluster ?(seed = 0) ?(shards = 2) ?(replicas = 2) ~max_faults () =
-  if max_faults < 1 then
-    Fact_error.precondition ~fn:"Serve_chaos.run_cluster"
-      "max_faults must be >= 1";
-  let dir = fresh_dir () in
-  let cfg =
-    Cluster.config ~dir:(Filename.concat dir "cluster") ~shards ~replicas
-      ~attempt_timeout_s:2.
-      ~backoff:(Backoff.make ~base_ms:50. ~max_ms:500. ())
-      ~restart_budget:max_int ~reset_after_s:0.5 ~heartbeat_period_s:0.2
-      ~fail_threshold:2 ()
-  in
-  let cluster = Cluster.start cfg in
-  let finally () =
-    (try Cluster.stop cluster with _ -> ());
-    if Sys.getenv_opt "FACT_CHAOS_KEEP" = None then rm_rf_rec dir
-  in
-  Fun.protect ~finally (fun () ->
-      let creference = Query.eval ref_query in
-      let ctx =
-        {
-          crng = Random.State.make [| seed; 0xc1a5 |];
-          cluster;
-          shards;
-          replicas;
-          creference;
-          ref_shard = Cluster.shard_of cluster ref_query;
-          ref_digest = Digest.of_query ref_query;
-          kills = 0;
-          replica_corruptions = 0;
-          stalls = 0;
-          blackouts = 0;
-          c_recovered = 0;
-          repaired_replicas = 0;
-          c_violations = [];
-        }
-      in
-      (* seed the entry and let write-through replicate it *)
-      ccheck ctx "warmup";
-      for replica = 0 to replicas - 1 do
-        ignore (wait_repaired ctx ~replica "warmup")
-      done;
-      for _ = 1 to max_faults do
-        match Random.State.int ctx.crng 4 with
-        | 0 -> inject_kill ctx
-        | 1 -> inject_replica_corruption ctx
-        | 2 -> inject_stall ctx
-        | _ -> inject_blackout ctx
-      done;
-      {
-        c_injected = max_faults;
-        kills = ctx.kills;
-        replica_corruptions = ctx.replica_corruptions;
-        stalls = ctx.stalls;
-        blackouts = ctx.blackouts;
-        c_recovered = ctx.c_recovered;
-        repaired_replicas = ctx.repaired_replicas;
-        c_violations = List.rev ctx.c_violations;
-      })
-
-let run ?(seed = 0) ~max_faults () =
-  if max_faults < 1 then
-    Fact_error.precondition ~fn:"Serve_chaos.run" "max_faults must be >= 1";
-  let dir = fresh_dir () in
-  let sock_path = Filename.concat dir "chaos.sock" in
-  let store = Store.open_dir (Filename.concat dir "store") in
-  let scheduler = Scheduler.create ~store () in
-  let listener = Listener.start_scheduler ~scheduler (Listener.Unix_sock sock_path) in
-  let finally () =
-    (try Listener.stop listener with _ -> ());
-    rm_rf (Filename.concat dir "store");
-    rm_rf dir
-  in
-  Fun.protect ~finally (fun () ->
-      let reference =
-        Client.with_connection (Listener.Unix_sock sock_path) (fun c ->
-            fst (Client.query c ref_query))
-      in
-      let ctx =
-        {
-          rng = Random.State.make [| seed; 0x5e12e |];
-          sock_path;
-          store;
-          listener;
-          reference;
-          disconnects = 0;
-          corruptions = 0;
-          evictions = 0;
-          bad_frames = 0;
-          typed_errors = 0;
-          recovered = 0;
-          violations = [];
-        }
-      in
-      ignore (Listener.addr ctx.listener);
-      for _ = 1 to max_faults do
-        match Random.State.int ctx.rng 4 with
-        | 0 -> inject_disconnect ctx
-        | 1 -> inject_corruption ctx
-        | 2 -> inject_eviction ctx
-        | _ -> inject_bad_frame ctx
-      done;
-      {
-        injected = max_faults;
-        disconnects = ctx.disconnects;
-        corruptions = ctx.corruptions;
-        evictions = ctx.evictions;
-        bad_frames = ctx.bad_frames;
-        typed_errors = ctx.typed_errors;
-        recovered = ctx.recovered;
-        violations = List.rev ctx.violations;
-      })
+let run_cluster ?seed ?(shards = 2) ?(replicas = 2) ~max_faults () =
+  Chaos.drive ~fn:"Serve_chaos.run_cluster" ~tier:"cluster" ~salt:0xc1a5 ?seed
+    ~outcomes:[ "repaired replicas" ] ~max_faults
+    ~with_env:(fun p storm ->
+      with_temp_dir "fact-serve-chaos" (fun dir ->
+          let cfg =
+            Cluster.config ~dir:(Filename.concat dir "cluster") ~shards
+              ~replicas ~attempt_timeout_s:2.
+              ~backoff:(Backoff.make ~base_ms:50. ~max_ms:500. ())
+              ~restart_budget:max_int ~reset_after_s:0.5
+              ~heartbeat_period_s:0.2 ~fail_threshold:2 ()
+          in
+          let cluster = Cluster.start cfg in
+          Fun.protect
+            ~finally:(fun () -> try Cluster.stop cluster with _ -> ())
+            (fun () ->
+              let env =
+                {
+                  cluster;
+                  shards;
+                  replicas;
+                  creference = Query.eval ref_query;
+                  ref_shard = Cluster.shard_of cluster ref_query;
+                  ref_digest = Digest.of_query ref_query;
+                }
+              in
+              (* seed the entry and let write-through replicate it *)
+              ccheck p env "warmup";
+              for replica = 0 to replicas - 1 do
+                wait_repaired p env ~replica "warmup"
+              done;
+              storm env)))
+    Chaos.
+      [
+        { kind = "kills"; inject = inject_kill };
+        { kind = "replica corruptions"; inject = inject_replica_corruption };
+        { kind = "stalls"; inject = inject_stall };
+        { kind = "blackouts"; inject = inject_blackout };
+      ]

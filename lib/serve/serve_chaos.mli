@@ -1,85 +1,61 @@
-(** Fault-injection harness for the service layer — the listener-side
-    counterpart of {!Fact_check.Chaos}.
+(** Fault-injection tiers for the service layer: fault tables on the
+    one seeded driver {!Fact_check.Chaos.drive}, reporting in its
+    {!Fact_check.Chaos.stats} schema.
 
-    Each run boots a real listener on a throwaway Unix socket backed
-    by a throwaway store, then injects faults a deployed server must
-    absorb, checking after every one that the server still answers
-    correctly:
+    Each run boots real servers inside one throwaway directory under
+    [Filename.get_temp_dir_name ()], removed on exit even when the boot
+    itself fails. Any failure surfacing as something other than a typed
+    {!Fact_resilience.Fact_error} is a violation.
 
-    - {b client disconnect}: a client sends a request and hangs up
-      before (or while) the response is written. Only that
-      connection's thread may die; the next client must get the full,
-      correct payload.
-    - {b corrupted store entry}: a persisted result file is truncated
-      or scribbled on. The server must drop it (counted as corrupt)
-      and transparently recompute — never serve garbage.
-    - {b eviction during batch}: every bounded cache is force-evicted
-      while requests are in flight; answers must still be
-      byte-identical to the fault-free reference.
-    - {b malformed / oversized frames}: protocol garbage must come
-      back as a typed [Refused] response (or a clean close for
-      oversized frames) without killing the listener.
+    {2 Listener tier}
 
-    Any failure surfacing as something other than a typed
-    {!Fact_resilience.Fact_error} is a violation. *)
+    {!run} boots a real listener on a Unix socket backed by a store,
+    then injects faults a deployed server must absorb, checking after
+    every one that the server still answers correctly:
 
-type stats = {
-  injected : int;
-  disconnects : int;
-  corruptions : int;
-  evictions : int;
-  bad_frames : int;
-  typed_errors : int;  (** faults answered with a typed refusal *)
-  recovered : int;     (** faults absorbed with a correct answer *)
-  violations : string list;
-}
+    - {b disconnects}: a client sends a request and hangs up before (or
+      while) the response is written. Only that connection's thread may
+      die; the next client must get the full, correct payload.
+    - {b store corruptions}: a persisted result file is truncated or
+      scribbled on. The server must drop it (counted as corrupt) and
+      transparently recompute — never serve garbage.
+    - {b forced evictions}: every bounded cache is force-evicted while
+      requests are in flight; answers must still be byte-identical to
+      the fault-free reference.
+    - {b bad frames}: malformed or oversized frames must come back as a
+      typed [Refused] response (or a clean close for oversized frames)
+      without killing the listener. *)
 
-val run : ?seed:int -> max_faults:int -> unit -> stats
-(** Raises a [Precondition] {!Fact_resilience.Fact_error} if
-    [max_faults < 1]. The temporary socket and store live under
-    [Filename.get_temp_dir_name ()] and are removed on exit. *)
+val run : ?seed:int -> max_faults:int -> unit -> Fact_check.Chaos.stats
+(** Tier [listener], salt [0x5e12e]. Raises a [Precondition]
+    {!Fact_resilience.Fact_error} if [max_faults < 1]. *)
 
-val pp_stats : Format.formatter -> stats -> unit
-
-(** {2 Cluster storms}
+(** {2 Cluster tier}
 
     {!run_cluster} boots a real {!Cluster} — [shards × replicas]
     supervised worker {e processes} — and storms it:
 
-    - {b kill -9 mid-request}: a random worker dies while client
-      threads are in flight; every in-flight and follow-up query must
-      still return the byte-identical one-shot payload.
-    - {b replica corruption}: the reference entry in one replica's
+    - {b kills}: [kill -9] on a random worker while client threads are
+      in flight; every in-flight and follow-up query must still return
+      the byte-identical one-shot payload.
+    - {b replica corruptions}: the reference entry in one replica's
       store is scribbled on and the worker killed; the restart must
-      quarantine the garbage and read-repair must restore the entry.
-    - {b heartbeat stall}: a worker is [SIGSTOP]ped; health marks it
-      down, routing prefers its twin, and service continues.
-    - {b shard blackout}: every replica of the reference shard is
-      killed at once; the front tier must degrade to local evaluation
-      (same bytes) and the shard's stores must converge again once the
+      quarantine the garbage and read-repair must restore the entry
+      (a [repaired replicas] outcome).
+    - {b stalls}: a worker is [SIGSTOP]ped; health marks it down,
+      routing prefers its twin, and service continues.
+    - {b blackouts}: every replica of the reference shard is killed at
+      once; the front tier must degrade to local evaluation (same
+      bytes) and the shard's stores must converge again once the
       workers return.
 
     The invariant throughout: {e zero} failed queries, every payload
     byte-identical to [Query.eval]. *)
 
-type cluster_stats = {
-  c_injected : int;
-  kills : int;
-  replica_corruptions : int;
-  stalls : int;
-  blackouts : int;
-  c_recovered : int;  (** faults absorbed with a correct answer *)
-  repaired_replicas : int;  (** read-repair convergence checks passed *)
-  c_violations : string list;
-}
-
 val run_cluster :
   ?seed:int -> ?shards:int -> ?replicas:int -> max_faults:int -> unit ->
-  cluster_stats
-(** Spawns real worker processes (see {!Supervisor.default_binary};
-    set [FACT_WORKER_BIN] to override the executable). Raises a
-    [Precondition] {!Fact_resilience.Fact_error} if [max_faults < 1].
-    Everything lives under a throwaway temp directory, removed on
-    exit. *)
-
-val pp_cluster_stats : Format.formatter -> cluster_stats -> unit
+  Fact_check.Chaos.stats
+(** Tier [cluster], salt [0xc1a5], default 2 × 2. Spawns real worker
+    processes (see {!Supervisor.default_binary}; set [FACT_WORKER_BIN]
+    to override the executable). Raises a [Precondition]
+    {!Fact_resilience.Fact_error} if [max_faults < 1]. *)

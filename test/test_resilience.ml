@@ -507,17 +507,36 @@ let test_checkpoint_save_atomic () =
 (* ------------------------------------------------------------------ *)
 
 let test_chaos () =
+  let audit = Cache.checking () in
+  Fun.protect ~finally:(fun () -> Cache.set_check audit) @@ fun () ->
+  Cache.set_check false;
   let stats = Chaos.run ~seed:11 ~max_faults:60 () in
+  check_bool "audit flag stays off" false (Cache.checking ());
   check "all injected" 60 stats.Chaos.injected;
   Alcotest.(check (list string)) "no violations" [] stats.Chaos.violations;
+  let count = Chaos.count stats in
   check_bool "every kind exercised" true
-    (stats.Chaos.worker_crash > 0
-    && stats.Chaos.worker_transient > 0
-    && stats.Chaos.evictions > 0
-    && stats.Chaos.explore_storms > 0
-    && stats.Chaos.assertion_sweeps > 0);
+    (count "worker crash" > 0
+    && count "transient" > 0
+    && count "evictions" > 0
+    && count "explore storms" > 0
+    && count "assertion sweeps" > 0);
   check_bool "typed errors observed" true (stats.Chaos.typed_errors > 0);
-  check_bool "completions observed" true (stats.Chaos.completed > 0)
+  check_bool "completions observed" true (stats.Chaos.recovered > 0);
+  (* the seeded fault sequence is pinned *)
+  List.iter
+    (fun (kind, n) -> check kind n (count kind))
+    [
+      ("worker crash", 9);
+      ("transient", 16);
+      ("cancel", 11);
+      ("evictions", 8);
+      ("explore storms", 7);
+      ("assertion sweeps", 9);
+    ];
+  Cache.set_check true;
+  ignore (Chaos.run ~seed:11 ~max_faults:3 ());
+  check_bool "audit flag stays on" true (Cache.checking ())
 
 let test_ra_cancellation () =
   let alpha = Agreement.of_adversary (Adversary.t_resilient ~n:3 ~t:1) in

@@ -6,6 +6,7 @@
 open Fact_sexp
 open Fact_resilience
 open Fact_serve
+module Chaos = Fact_check.Chaos
 
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -421,8 +422,16 @@ let test_client_deadline_typed () =
 
 let test_serve_chaos () =
   let stats = Serve_chaos.run ~seed:7 ~max_faults:12 () in
-  check "all faults injected" 12 stats.Serve_chaos.injected;
-  Alcotest.(check (list string)) "no violations" [] stats.Serve_chaos.violations
+  check "all faults injected" 12 stats.Chaos.injected;
+  Alcotest.(check (list string)) "no violations" [] stats.Chaos.violations;
+  List.iter
+    (fun (kind, n) -> check kind n (Chaos.count stats kind))
+    [
+      ("disconnects", 3);
+      ("store corruptions", 2);
+      ("forced evictions", 1);
+      ("bad frames", 6);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Crash simulation, adversarial I/O, retry / unavailable             *)
@@ -647,9 +656,25 @@ let test_cluster_e2e () =
 
 let test_cluster_chaos () =
   let s = Serve_chaos.run_cluster ~seed:3 ~max_faults:6 () in
-  check "all faults injected" 6 s.Serve_chaos.c_injected;
-  Alcotest.(check (list string)) "no violations" [] s.Serve_chaos.c_violations;
-  check_bool "every fault recovered" true (s.Serve_chaos.c_recovered > 0)
+  check "all faults injected" 6 s.Chaos.injected;
+  Alcotest.(check (list string)) "no violations" [] s.Chaos.violations;
+  check_bool "every fault recovered" true (s.Chaos.recovered > 0);
+  List.iter
+    (fun (kind, n) -> check kind n (Chaos.count s kind))
+    [ ("kills", 2); ("replica corruptions", 1); ("stalls", 1); ("blackouts", 2) ];
+  (* a boot that fails still removes its throwaway directory *)
+  let ours () =
+    let prefix = Printf.sprintf "fact-serve-chaos-%d-" (Unix.getpid ()) in
+    Sys.readdir (Filename.get_temp_dir_name ())
+    |> Array.exists (String.starts_with ~prefix)
+  in
+  let bin = Option.value ~default:"" (Sys.getenv_opt "FACT_WORKER_BIN") in
+  Unix.putenv "FACT_WORKER_BIN" "/nonexistent/fact";
+  Fun.protect ~finally:(fun () -> Unix.putenv "FACT_WORKER_BIN" bin) (fun () ->
+      match Serve_chaos.run_cluster ~max_faults:1 () with
+      | _ -> Alcotest.fail "cluster booted without a worker binary"
+      | exception Fact_error.Error _ -> ());
+  check_bool "failed boot leaves no temp dir" false (ours ())
 
 (* ------------------------------------------------------------------ *)
 (* Zero-copy wire path                                                *)
