@@ -668,11 +668,12 @@ let () =
   if json then bench_json ()
   else
     let requested = if names = [] then List.map fst sections else names in
-    List.iter
-      (fun name ->
-        match List.assoc_opt name sections with
-        | Some f -> f ()
-        | None ->
-          pf "unknown section %s (available: %s)@." name
-            (String.concat " " (List.map fst sections)))
-      requested
+    (* an unknown section is a usage error: name the valid ones and
+       exit 2 before running anything *)
+    (match List.find_opt (fun name -> not (List.mem_assoc name sections)) requested with
+    | Some name ->
+      Printf.eprintf "unknown section %s (available: %s)\n%!" name
+        (String.concat " " (List.map fst sections));
+      exit 2
+    | None -> ());
+    List.iter (fun name -> (List.assoc name sections) ()) requested

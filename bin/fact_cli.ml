@@ -80,18 +80,23 @@ let parse_live s =
 
 let live_conv = Arg.conv (parse_live, fun ppf p -> Pset.pp ppf p)
 
+(* The serve endpoints resolve their adversary from the same flags as
+   the one-shot commands; with neither flag they default to wait-free,
+   so [fact ra --n 3] and [fact client ra --n 3] name the same query. *)
+let spec_of ~preset ~live_sets : Query.adversary_spec =
+  match (preset, live_sets) with
+  | Some p, [] -> Query.Preset p
+  | None, [] -> Query.Preset "wait-free"
+  | None, (_ :: _ as ls) -> Query.Live (List.map Pset.to_list ls)
+  | Some _, _ :: _ -> failwith "give either --preset or --live, not both"
+
+(* The one-shot commands resolve the flags exactly as a served query
+   does, so a bad preset is the same typed [Precondition] everywhere;
+   only the wait-free default is theirs to refuse. *)
 let adversary_of ~n ~preset ~live_sets =
   match (preset, live_sets) with
-  | Some p, [] ->
-    (match String.split_on_char ':' p with
-    | [ "wait-free" ] -> Adversary.wait_free n
-    | [ "fig5b" ] -> Adversary.fig5b
-    | [ "t-res"; t ] -> Adversary.t_resilient ~n ~t:(int_of_string t)
-    | [ "k-of"; k ] -> Adversary.k_obstruction_free ~n ~k:(int_of_string k)
-    | _ -> failwith (Printf.sprintf "unknown preset %S" p))
-  | None, (_ :: _ as ls) -> Adversary.make ~n ls
-  | Some _, _ :: _ -> failwith "give either --preset or --live, not both"
   | None, [] -> failwith "give an adversary: --preset or --live"
+  | _ -> Query.adversary ~n (spec_of ~preset ~live_sets)
 
 let n_arg =
   Arg.(value & opt int 3 & info [ "n" ] ~doc:"Number of processes.")
@@ -608,16 +613,6 @@ let chaos_cmd =
       $ cluster_faults_arg)
 
 (* ------------------------- serve / client ------------------------- *)
-
-(* The serve endpoints resolve their adversary from the same flags as
-   the one-shot commands; with neither flag they default to wait-free,
-   so [fact ra --n 3] and [fact client ra --n 3] name the same query. *)
-let spec_of ~preset ~live_sets : Query.adversary_spec =
-  match (preset, live_sets) with
-  | Some p, [] -> Query.Preset p
-  | None, [] -> Query.Preset "wait-free"
-  | None, (_ :: _ as ls) -> Query.Live (List.map Pset.to_list ls)
-  | Some _, _ :: _ -> failwith "give either --preset or --live, not both"
 
 let query_of ~endpoint ~n ~m ~preset ~live_sets ~protocol ~max_runs =
   let adv () = spec_of ~preset ~live_sets in

@@ -31,7 +31,7 @@ type t =
 (* Observations.                                                      *)
 (* ------------------------------------------------------------------ *)
 
-type event =
+type event = Subject.event =
   | Stepped of { e_pid : int; e_op : Op.pending }
   | Crashed of { e_pid : int }
 
@@ -234,7 +234,7 @@ let eval ~env t view =
   let nevents = Array.length events in
   (* A step event is a process's deciding step iff it is its last
      recorded step and the process finished with a decision. The
-     monitor records every event of every footprint process, so the
+     executor records every event of every footprint process, so the
      last recorded step of such a process is its true last step. *)
   let last_step = Hashtbl.create 8 in
   Array.iteri
@@ -426,40 +426,21 @@ let eval ~env t view =
   verdict t
 
 (* ------------------------------------------------------------------ *)
-(* Monitors and subjects.                                             *)
+(* Subjects.                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let monitor ~participants ~env t =
-  let fp = footprint t in
-  let buf = ref [] in
-  let want pid =
-    match fp with None -> true | Some ps -> Pset.mem pid ps
+let subject ~participants ~make t () =
+  let procs, env = make () in
+  let observed =
+    match footprint t with Some ps -> ps | None -> participants
   in
-  let on_step ~pid (op : Op.pending) =
-    if want pid then buf := Stepped { e_pid = pid; e_op = op } :: !buf
-  in
-  let on_crash ~pid =
-    if want pid then buf := Crashed { e_pid = pid } :: !buf
-  in
-  let check report ~truncated =
-    let view =
+  let check report ~events ~truncated =
+    eval ~env t
       {
         v_report = report;
         v_truncated = truncated;
         v_participants = participants;
-        v_events = Array.of_list (List.rev !buf);
+        v_events = Array.of_list (List.rev events);
       }
-    in
-    eval ~env t view
   in
-  let passive =
-    match fp with Some ps -> Pset.is_empty ps | None -> false
-  in
-  ( (if passive then None else Some on_step),
-    (if passive then None else Some on_crash),
-    check )
-
-let subject ~participants ~make t () =
-  let procs, env = make () in
-  let on_step, on_crash, check = monitor ~participants ~env t in
-  { Subject.procs; on_step; on_crash; check }
+  { Subject.procs; observed; check }

@@ -5,8 +5,8 @@
     fair runs; this module turns the per-protocol oracles that check
     them into {e data}: an {!t} is a composable property of one
     execution, evaluated against the execution's final report plus the
-    sequence of scheduler events observed by a monitor riding the run
-    ({!Subject.t}). Assertions serialize to s-expressions ([fact
+    sequence of scheduler events the executor of the run recorded for
+    it ({!Subject.t}). Assertions serialize to s-expressions ([fact
     explore --assert <file>]), so the chaos harness and the CI sweep
     them without recompilation.
 
@@ -76,7 +76,7 @@ type t =
 
 (** {1 Observations and environments} *)
 
-type event =
+type event = Subject.event =
   | Stepped of { e_pid : int; e_op : Op.pending }
   | Crashed of { e_pid : int }
 
@@ -124,28 +124,19 @@ val eval : env:'r env -> t -> 'r view -> (unit, string) result
 (** Evaluate against one observed execution. [Error msg] explains the
     first violated obligation. *)
 
-val monitor :
-  participants:Pset.t ->
-  env:'r env ->
-  t ->
-  (pid:int -> Op.pending -> unit) option
-  * (pid:int -> unit) option
-  * ('r Exec.report -> truncated:bool -> (unit, string) result)
-(** Fresh incremental monitor state for one execution: the two event
-    hooks (both [None] when the assertion's footprint is empty — such
-    subjects run bit-identically to unmonitored ones) and the final
-    verdict function. *)
-
 val subject :
   participants:Pset.t ->
-  make:(unit -> (int -> 'r) array * 'r env) ->
+  make:(unit -> (int -> 'r Proc.t) array * 'r env) ->
   t ->
   unit ->
   'r Subject.t
 (** [subject ~participants ~make t] is a {!Subject} builder: each call
     invokes [make] for a fresh protocol instance (processes + the
     environment bound to that instance's object ids) and pairs it with
-    a fresh monitor for [t]. *)
+    the verdict of [t]. The subject observes the assertion's
+    {!footprint} ([participants] when opaque); with an empty footprint
+    nothing is recorded, so the run is bit-identical to an unmonitored
+    one. *)
 
 (** {1 Serialization} *)
 

@@ -144,7 +144,7 @@ let tally_of_fields ~exhausted fields =
   let* t_patterns = req_ints "patterns" fields in
   let* t_viol = opt_viols fields in
   Ok
-    { Explore.t_runs; t_truncated; t_pruned; t_patterns; t_viol;
+    { Explore.t_runs; t_truncated; t_pruned; t_patterns; t_classes = []; t_viol;
       t_exhausted = exhausted }
 
 let active_of_fields fields =

@@ -25,6 +25,7 @@ type 'r stats = {
   truncated : int;
   pruned : int;
   crash_patterns : int;
+  classes : int list list;
   violations : 'r outcome list;
   exhausted : bool;
 }
@@ -43,22 +44,23 @@ type frontier = (Trace.decision * Trace.decision list) list
    as (decisions, truncated), oldest first. Only the traces are
    persisted — never the verdicts: a resume re-evaluates each one by
    observed replay against the current subject, so checkpoints survive
-   assertion changes. *)
+   assertion changes. [t_classes] is the task's distinct [classify]
+   values; like [t_patterns] it is a set, so merging is a union. *)
 type tally = {
   t_runs : int;
   t_truncated : int;
   t_pruned : int;
   t_patterns : int list; (* Pset masks of completed runs' faulty sets *)
+  t_classes : int list list;
   t_viol : (Trace.decision list * bool) list;
   t_exhausted : bool;
 }
 
 (* [Active (t, frontier)]: for every depth of the task's current path,
    the chosen decision and the fully explored siblings. [enabled],
-   [sleep0], [ops] and [crashes_before] are deliberately absent — they
-   are deterministic functions of the decision prefix and are rebuilt
-   by re-executing one (uncounted at checkpoint time) run along the
-   frontier. *)
+   [sleep0] and the saved states are deliberately absent — they are
+   deterministic functions of the decision prefix and are rebuilt by
+   re-executing one run along the frontier. *)
 type progress = Todo | Done of tally | Active of tally * frontier
 
 type subtree = {
@@ -74,15 +76,16 @@ let zero_tally =
     t_truncated = 0;
     t_pruned = 0;
     t_patterns = [];
+    t_classes = [];
     t_viol = [];
     t_exhausted = false;
   }
 
 (* Re-establish recorded violating runs against the *current* subject:
-   each persisted trace is replayed (uncounted) with a fresh monitor
-   and kept only if an assertion still fails. Trusting the snapshot
-   verdict instead would let a checkpoint taken under one assertion
-   set poison a resume under another. *)
+   each persisted trace is replayed (uncounted) and kept only if an
+   assertion still fails. Trusting the snapshot verdict instead would
+   let a checkpoint taken under one assertion set poison a resume under
+   another. *)
 let restore_viols ~n ~participants ~subject viols =
   List.filter_map
     (fun (ds, truncated) ->
@@ -97,15 +100,18 @@ let restore_viols ~n ~participants ~subject viols =
 (* A node of the decision tree, one per depth of the current DFS path.
    [enabled] is fixed at node creation; [chosen] is the decision of the
    current run; [done_] accumulates fully-explored siblings; [sleep0]
-   is the node's inherited sleep set; [ops] snapshots every process's
-   pending operation for the independence checks. *)
-type node = {
+   is the node's inherited sleep set. [state] and [events] are the
+   machine and the event log right before the node's decision: a run
+   that branches here restores them and executes only its new suffix.
+   The pending operations of [state] drive the independence checks. *)
+type 'r node = {
   mutable chosen : Trace.decision;
   mutable done_ : Trace.decision list;
   sleep0 : Trace.decision list;
   enabled : Trace.decision list;
-  ops : Op.pending array;
   crashes_before : int;
+  state : 'r Exec.state;
+  events : Subject.event list;
 }
 
 (* Independence of two decisions available at the same node: used both
@@ -116,13 +122,16 @@ type node = {
 let independent node d1 d2 =
   match (d1, d2) with
   | Trace.Step p, Trace.Step q ->
-    p <> q && Op.commute node.ops.(p) node.ops.(q)
+    p <> q
+    && Op.commute (Exec.state_pending node.state p)
+         (Exec.state_pending node.state q)
   | Trace.Crash p, Trace.Step q | Trace.Step q, Trace.Crash p -> p <> q
   | Trace.Crash _, Trace.Crash _ -> false
 
-(* Raised by a subtree task's per-execution hook when the shared run
-   budget trips or a lower-indexed task already found a violation: the
-   task's speculative results are discarded, never merged. *)
+(* Raised by a subtree task's per-execution hook when its results can
+   no longer be committed (the run budget runs out before or inside it,
+   or a lower-indexed task found a violation): the task's speculative
+   results are discarded, never merged. *)
 exception Task_abort
 
 type 'r core_result = {
@@ -137,14 +146,13 @@ type 'r core_result = {
    partition and are never advanced, so the search covers exactly the
    subtree below the prefix. [budget] bounds executions performed by
    this invocation; [on_execution] runs before each one (the parallel
-   driver's shared-budget / abort hook). [capture = Some (d, cell)]
-   switches to probe mode: one execution, record into [cell] the
-   branch decisions at depth [d] (enabled minus sleep set), count
-   nothing. *)
-let explore_core ~cfg ~stop_on_violation ~on_run ~base ~forced ~floor ~budget
-    ~on_execution ~checkpoint_every ~on_checkpoint ~capture ~n ~participants
-    ~subject () =
-  let path : node option array = Array.make cfg.max_depth None in
+   driver's abort hook). [capture = Some (d, cell)] switches to probe
+   mode: one execution, record into [cell] the branch decisions at
+   depth [d] (enabled minus sleep set), count nothing. *)
+let explore_core ~cfg ~stop_on_violation ~classify ~base ~forced ~floor
+    ~budget ~on_execution ~checkpoint_every ~on_checkpoint ~capture ~n
+    ~participants ~subject () =
+  let path : _ node option array = Array.make cfg.max_depth None in
   let plen = ref 0 in
   let runs = ref base.t_runs in
   let truncated_runs = ref base.t_truncated in
@@ -156,117 +164,120 @@ let explore_core ~cfg ~stop_on_violation ~on_run ~base ~forced ~floor ~budget
   in
   let patterns = Hashtbl.create 16 in
   List.iter (fun m -> Hashtbl.replace patterns m ()) base.t_patterns;
+  let classes = Hashtbl.create 16 in
+  List.iter (fun c -> Hashtbl.replace classes c ()) base.t_classes;
   let forced_d = Array.of_list (List.map fst forced) in
   let forced_done = Array.of_list (List.map snd forced) in
   let forcing = ref (Array.length forced_d > 0) in
   let node_at i = match path.(i) with Some nd -> nd | None -> assert false in
+  let subj : _ Subject.t = subject () in
+  let m = Exec.start ~n ~participants subj.Subject.procs in
+
+  (* The decision at a fresh depth: build its node (saving the state
+     the node's siblings will branch from) and pick the first enabled
+     decision that is not asleep — or the forced one. [None] when
+     every enabled decision is asleep. *)
+  let new_node depth events =
+    let alive = Exec.alive m in
+    let parent = if depth = 0 then None else path.(depth - 1) in
+    let crashes_before =
+      match parent with
+      | None -> 0
+      | Some par ->
+        par.crashes_before
+        + (match par.chosen with Trace.Crash _ -> 1 | _ -> 0)
+    in
+    let steps = List.map (fun p -> Trace.Step p) (Pset.to_list alive) in
+    let crashes =
+      if crashes_before < cfg.max_crashes then
+        List.map
+          (fun p -> Trace.Crash p)
+          (Pset.to_list (Pset.inter alive cfg.crashable))
+      else []
+    in
+    let enabled = steps @ crashes in
+    let sleep0 =
+      match parent with
+      | None -> []
+      | Some par ->
+        List.filter
+          (fun z -> independent par z par.chosen)
+          (par.sleep0 @ par.done_)
+    in
+    let choice =
+      if !forcing && depth < Array.length forced_d then begin
+        (* Resume or subtree prefix: rebuild the recorded node. The
+           forced decision must still be enabled — anything else means
+           the checkpoint was taken against a different protocol or
+           configuration. *)
+        let d = forced_d.(depth) in
+        if not (List.mem d enabled) then
+          Fact_resilience.Fact_error.precondition ~fn:"Explore.explore"
+            "checkpoint does not match the protocol (forced decision not \
+             enabled)";
+        Some (d, forced_done.(depth))
+      end
+      else
+        match List.find_opt (fun d -> not (List.mem d sleep0)) enabled with
+        | None -> None
+        | Some d -> Some (d, [])
+    in
+    match choice with
+    | None -> None
+    | Some (d, done0) ->
+      path.(depth) <-
+        Some
+          { chosen = d; done_ = done0; sleep0; enabled; crashes_before;
+            state = Exec.save m; events };
+      plen := depth + 1;
+      Some d
+  in
 
   (* One execution following the current path as prefix, extending it
-     with fresh nodes past the end. Returns the report plus whether the
-     run was truncated (depth budget) or sleep-blocked (pruned). *)
-  let run_once () =
-    let depth = ref 0 in
-    let truncated = ref false in
-    let blocked = ref false in
-    let crash_flag = ref (-1) in
-    let next ~alive ~pending =
-      if !depth >= cfg.max_depth then begin
-        truncated := true;
-        None
-      end
+     with fresh nodes past the end. The first execution starts from the
+     initial state; later ones restore the deepest node, the one
+     [backtrack] just advanced. Returns the report and event log plus
+     whether the run was truncated (depth budget) or sleep-blocked
+     (pruned). *)
+  let run_once ~first =
+    let depth0, events0 =
+      if first then (0, [])
       else begin
+        let nd = node_at (!plen - 1) in
+        Exec.restore m nd.state;
+        (!plen - 1, nd.events)
+      end
+    in
+    let rec go depth events =
+      if Pset.is_empty (Exec.alive m) then (events, false, false)
+      else if depth >= cfg.max_depth then (events, true, false)
+      else
         let decision =
-          if !depth < !plen then Some (node_at !depth).chosen
-          else begin
-            let parent = if !depth = 0 then None else path.(!depth - 1) in
-            let crashes_before =
-              match parent with
-              | None -> 0
-              | Some par ->
-                par.crashes_before
-                + (match par.chosen with Trace.Crash _ -> 1 | _ -> 0)
-            in
-            let steps =
-              List.map (fun p -> Trace.Step p) (Pset.to_list alive)
-            in
-            let crashes =
-              if crashes_before < cfg.max_crashes then
-                List.map
-                  (fun p -> Trace.Crash p)
-                  (Pset.to_list (Pset.inter alive cfg.crashable))
-              else []
-            in
-            let enabled = steps @ crashes in
-            let sleep0 =
-              match parent with
-              | None -> []
-              | Some par ->
-                List.filter
-                  (fun z -> independent par z par.chosen)
-                  (par.sleep0 @ par.done_)
-            in
-            let choice =
-              if !forcing && !depth < Array.length forced_d then begin
-                (* Resume or subtree prefix: rebuild the recorded node.
-                   The forced decision must still be enabled — anything
-                   else means the checkpoint was taken against a
-                   different protocol or configuration. *)
-                let d = forced_d.(!depth) in
-                if not (List.mem d enabled) then
-                  Fact_resilience.Fact_error.precondition
-                    ~fn:"Explore.explore"
-                    "checkpoint does not match the protocol (forced \
-                     decision not enabled)";
-                Some (d, forced_done.(!depth))
-              end
-              else
-                match
-                  List.find_opt (fun d -> not (List.mem d sleep0)) enabled
-                with
-                | None -> None
-                | Some d -> Some (d, [])
-            in
-            match choice with
-            | None ->
-              (* Every enabled decision is asleep: all continuations are
-                 commutation-equivalent to already-explored runs. *)
-              blocked := true;
-              None
-            | Some (d, done0) ->
-              let ops = Array.init n (fun i -> pending i) in
-              path.(!depth) <-
-                Some
-                  { chosen = d; done_ = done0; sleep0; enabled; ops;
-                    crashes_before };
-              plen := !depth + 1;
-              Some d
-          end
+          if depth < !plen then Some (node_at depth).chosen
+          else new_node depth events
         in
         match decision with
-        | None -> None
-        | Some d ->
-          incr depth;
-          (match d with
-          | Trace.Step p -> Some p
-          | Trace.Crash p ->
-            crash_flag := p;
-            Some p)
-      end
+        | None ->
+          (* Every enabled decision is asleep: all continuations are
+             commutation-equivalent to already-explored runs. *)
+          (events, false, true)
+        | Some (Trace.Step p) ->
+          let events =
+            Subject.record subj
+              (Subject.Stepped { e_pid = p; e_op = Exec.pending m p })
+              events
+          in
+          Exec.step m p;
+          go (depth + 1) events
+        | Some (Trace.Crash p) ->
+          let events =
+            Subject.record subj (Subject.Crashed { e_pid = p }) events
+          in
+          Exec.crash m p;
+          go (depth + 1) events
     in
-    let crash_now ~pid ~steps_taken:_ =
-      if !crash_flag = pid then begin
-        crash_flag := -1;
-        true
-      end
-      else false
-    in
-    let schedule = Schedule.controlled ~n ~participants ~next ~crash_now in
-    let subj : _ Subject.t = subject () in
-    let report =
-      Exec.run ~max_steps:(cfg.max_depth + 1) ?on_step:subj.Subject.on_step
-        ?on_crash:subj.Subject.on_crash ~schedule subj.Subject.procs
-    in
-    (subj, report, !truncated, !blocked)
+    let events, truncated, blocked = go depth0 events0 in
+    (Exec.report m, events, truncated, blocked)
   in
 
   (* Move to the next unexplored branch: mark the deepest node's chosen
@@ -299,12 +310,14 @@ let explore_core ~cfg ~stop_on_violation ~on_run ~base ~forced ~floor ~budget
       (List.init !plen (fun i -> (node_at i).chosen))
   in
 
+  let keys tbl = Hashtbl.fold (fun k () acc -> k :: acc) tbl [] in
   let tally ~exhausted =
     {
       t_runs = !runs;
       t_truncated = !truncated_runs;
       t_pruned = !pruned;
-      t_patterns = Hashtbl.fold (fun m () acc -> m :: acc) patterns [];
+      t_patterns = keys patterns;
+      t_classes = keys classes;
       t_viol =
         List.rev_map
           (fun o -> (Trace.decisions o.trace, o.truncated))
@@ -343,7 +356,9 @@ let explore_core ~cfg ~stop_on_violation ~on_run ~base ~forced ~floor ~budget
       checkpoint_every > 0 && !executions > 0
       && !executions mod checkpoint_every = 0
     then on_checkpoint (current_checkpoint ());
-    let subj, report, truncated, blocked = run_once () in
+    let report, events, truncated, blocked =
+      run_once ~first:(!executions = 0)
+    in
     forcing := false;
     incr executions;
     (match capture with
@@ -365,15 +380,16 @@ let explore_core ~cfg ~stop_on_violation ~on_run ~base ~forced ~floor ~budget
         let outcome = { report; trace = current_trace (); truncated } in
         if not truncated then begin
           let faulty = Trace.crashes outcome.trace in
-          if not (Hashtbl.mem patterns (Pset.to_mask faulty)) then
-            Hashtbl.add patterns (Pset.to_mask faulty) ()
+          Hashtbl.replace patterns (Pset.to_mask faulty) ()
         end;
-        on_run outcome;
-        (match subj.Subject.check report ~truncated with
+        (match classify with
+        | Some f -> Option.iter (fun c -> Hashtbl.replace classes c ()) (f outcome)
+        | None -> ());
+        match subj.Subject.check report ~events ~truncated with
         | Ok () -> ()
         | Error _ ->
           violations := outcome :: !violations;
-          if stop_on_violation then stop := true)
+          if stop_on_violation then stop := true
       end;
       if not !stop then
         if not (backtrack ()) then begin
@@ -415,7 +431,7 @@ let split_subtrees ~cfg ~domains ~n ~participants ~subject =
     else begin
       let cell = ref None in
       ignore
-        (explore_core ~cfg ~stop_on_violation:false ~on_run:(fun _ -> ())
+        (explore_core ~cfg ~stop_on_violation:false ~classify:None
            ~base:zero_tally ~forced:prefix ~floor:depth ~budget:1
            ~on_execution:None ~checkpoint_every:0
            ~on_checkpoint:(fun _ -> ())
@@ -451,16 +467,18 @@ let split_subtrees ~cfg ~domains ~n ~participants ~subject =
 (* ------------------------------------------------------------------ *)
 
 (* Deterministic merge of per-task (tally, violations), in task (= DFS)
-   order. Counter sums, pattern-set unions and in-order violation
-   concatenation are all independent of how the tree was partitioned
-   and of execution interleaving, which is what makes the counts
-   bit-identical for any domain count. *)
+   order. Counter sums, pattern- and class-set unions and in-order
+   violation concatenation are all independent of how the tree was
+   partitioned and of execution interleaving, which is what makes the
+   counts bit-identical for any domain count. *)
 let merge items ~cut =
   let patterns = Hashtbl.create 16 in
+  let classes = Hashtbl.create 16 in
   let s =
     List.fold_left
       (fun s (t, viols) ->
         List.iter (fun m -> Hashtbl.replace patterns m ()) t.t_patterns;
+        List.iter (fun c -> Hashtbl.replace classes c ()) t.t_classes;
         {
           s with
           runs = s.runs + t.t_runs;
@@ -474,14 +492,19 @@ let merge items ~cut =
         truncated = 0;
         pruned = 0;
         crash_patterns = 0;
+        classes = [];
         violations = [];
         exhausted = not cut;
       }
       items
   in
-  { s with crash_patterns = Hashtbl.length patterns }
+  {
+    s with
+    crash_patterns = Hashtbl.length patterns;
+    classes = List.sort compare (Hashtbl.fold (fun c () acc -> c :: acc) classes []);
+  }
 
-let explore_tasks ~cfg ~stop_on_violation ~on_run ~checkpoint_every
+let explore_tasks ~cfg ~stop_on_violation ~classify ~checkpoint_every
     ~on_checkpoint ~domains ~n ~participants ~subject subtrees =
   let restore = restore_viols ~n ~participants ~subject in
   let subs = Array.of_list subtrees in
@@ -516,7 +539,7 @@ let explore_tasks ~cfg ~stop_on_violation ~on_run ~checkpoint_every
       | Done _ -> assert false
     in
     let r =
-      explore_core ~cfg ~stop_on_violation ~on_run ~base ~forced
+      explore_core ~cfg ~stop_on_violation ~classify ~base ~forced
         ~floor:(List.length subs.(i).prefix) ~budget ~on_execution
         ~checkpoint_every
         ~on_checkpoint:(fun (t, fr) -> set_slot i (Active (t, fr)) ~emit:true)
@@ -526,19 +549,31 @@ let explore_tasks ~cfg ~stop_on_violation ~on_run ~checkpoint_every
     r
   in
 
-  (* The tasks strictly in order with the exact remaining budget: the
-     single-task DFS applied subtree by subtree. This is the whole
-     exploration at one domain or with one task left to run, and the
-     fallback when the optimistic pass below trips the run budget. *)
-  let in_order () =
+  (* Commit the tasks strictly in order with the exact remaining
+     budget: the single-task DFS applied subtree by subtree. A task's
+     speculative result from the parallel pass is taken as is when it
+     ran to its end within the budget left for it — it is then exactly
+     what running the task here would give. Otherwise (aborted, or more
+     executions than the budget leaves) the task runs here with the
+     exact budget; the tasks after it then have none left. *)
+  let commit speculative =
+    Array.iteri (fun i st -> slots.(i) <- st.progress) subs;
     let rec go i budget items =
       if i = ntasks then merge (List.rev items) ~cut:false
       else
-        match slots.(i) with
+        match subs.(i).progress with
         | Done t -> go (i + 1) budget ((t, restore t.t_viol) :: items)
         | Todo | Active _ when budget <= 0 -> merge (List.rev items) ~cut:true
         | Todo | Active _ ->
-          let r = run_task i ~budget ~on_execution:None in
+          let r =
+            match speculative.(i) with
+            | Some (Ok r) when r.r_executions <= budget ->
+              slots.(i) <- Done r.r_tally;
+              r
+            | Some (Ok _) | Some (Error (Task_abort, _)) | None ->
+              run_task i ~budget ~on_execution:None
+            | Some (Error eb) -> Parallel.reraise eb
+          in
           let items = (r.r_tally, r.r_violations) :: items in
           if stop_on_violation && r.r_violations <> [] then
             merge (List.rev items) ~cut:true
@@ -547,44 +582,40 @@ let explore_tasks ~cfg ~stop_on_violation ~on_run ~checkpoint_every
     go 0 cfg.max_runs []
   in
 
-  (* Optimistic parallel execution. Every task runs its whole subtree;
-     a shared counter implements [max_runs]. If the counter ever
-     crosses the budget the bounded-exploration results are
-     partition-dependent, so everything from this pass is discarded and
-     [in_order] recomputes with exact budget semantics. With
-     [stop_on_violation], a violation in task [i] makes every
-     higher-indexed task pointless (the in-order DFS would have stopped
-     inside task [i]'s subtree): they abort early and are discarded by
-     the merge cut. *)
-  let optimistic torun =
-    let executed = Atomic.make 0 in
-    let tripped = Atomic.make false in
-    let viol_floor = Atomic.make max_int in
+  (* The parallel pass: every task runs its whole subtree on the domain
+     pool. Task [i]'s budget is what the tasks before it leave, which is
+     known only once they finish, so it runs speculatively and aborts as
+     soon as its results cannot be committed: when the executions the
+     earlier tasks have made so far plus its own exceed [max_runs], or
+     when an earlier task aborted that way or found a violation under
+     [stop_on_violation] (the in-order DFS would stop there). *)
+  let parallel torun =
+    let counts = Array.init ntasks (fun _ -> Atomic.make 0) in
+    let floor = Atomic.make max_int in
+    let rec lower i =
+      let cur = Atomic.get floor in
+      if i < cur && not (Atomic.compare_and_set floor cur i) then lower i
+    in
     let task i () =
       let on_execution () =
-        if Atomic.get tripped then raise Task_abort;
-        if Atomic.get viol_floor < i then raise Task_abort;
-        if Atomic.fetch_and_add executed 1 >= cfg.max_runs then begin
-          Atomic.set tripped true;
+        if Atomic.get floor < i then raise Task_abort;
+        let own = Atomic.fetch_and_add counts.(i) 1 + 1 in
+        let before = ref 0 in
+        for j = 0 to i - 1 do
+          before := !before + Atomic.get counts.(j)
+        done;
+        if !before + own > cfg.max_runs then begin
+          lower i;
           raise Task_abort
         end
       in
       let r = run_task i ~budget:cfg.max_runs ~on_execution:(Some on_execution) in
-      if stop_on_violation && r.r_violations <> [] then begin
-        let rec lower () =
-          let cur = Atomic.get viol_floor in
-          if i < cur && not (Atomic.compare_and_set viol_floor cur i) then
-            lower ()
-        in
-        lower ()
-      end;
+      if stop_on_violation && r.r_violations <> [] then lower i;
       r
     in
     let outcomes =
       Parallel.run_all ~workers:domains (List.map (fun i -> task i) torun)
     in
-    let by_index = Hashtbl.create 16 in
-    List.iter2 (fun i o -> Hashtbl.replace by_index i o) torun outcomes;
     let cancellation =
       List.find_map
         (function
@@ -605,26 +636,9 @@ let explore_tasks ~cfg ~stop_on_violation ~on_run ~checkpoint_every
       deliver s;
       Parallel.reraise eb
     | None ->
-      if Atomic.get tripped then begin
-        Array.iteri (fun i st -> slots.(i) <- st.progress) subs;
-        in_order ()
-      end
-      else begin
-        let fl = Atomic.get viol_floor in
-        let cut = fl < max_int in
-        let last = if cut then min fl (ntasks - 1) else ntasks - 1 in
-        let items =
-          List.init (last + 1) (fun i ->
-              match Hashtbl.find_opt by_index i with
-              | None -> (
-                match subs.(i).progress with
-                | Done t -> (t, restore t.t_viol)
-                | _ -> assert false)
-              | Some (Ok r) -> (r.r_tally, r.r_violations)
-              | Some (Error eb) -> Parallel.reraise eb)
-        in
-        merge items ~cut
-      end
+      let speculative = Array.make ntasks None in
+      List.iter2 (fun i o -> speculative.(i) <- Some o) torun outcomes;
+      commit speculative
   in
   let torun =
     List.filter
@@ -632,16 +646,16 @@ let explore_tasks ~cfg ~stop_on_violation ~on_run ~checkpoint_every
       (List.init ntasks Fun.id)
   in
   match torun with
-  | _ :: _ :: _ when domains > 1 -> optimistic torun
-  | _ -> in_order ()
+  | _ :: _ :: _ when domains > 1 -> parallel torun
+  | _ -> commit (Array.make ntasks None)
 
 (* ------------------------------------------------------------------ *)
 (* Public entry point.                                                *)
 (* ------------------------------------------------------------------ *)
 
-let explore ?(config = config ()) ?(stop_on_violation = false)
-    ?(on_run = fun _ -> ()) ?resume ?(checkpoint_every = 0)
-    ?on_checkpoint ?domains ~n ~participants ~subject () =
+let explore ?(config = config ()) ?(stop_on_violation = false) ?classify
+    ?resume ?(checkpoint_every = 0) ?on_checkpoint ?domains ~n ~participants
+    ~subject () =
   let cfg = config in
   let domains =
     match domains with
@@ -654,7 +668,7 @@ let explore ?(config = config ()) ?(stop_on_violation = false)
     | None when domains <= 1 -> [ { prefix = []; progress = Todo } ]
     | None -> split_subtrees ~cfg ~domains ~n ~participants ~subject
   in
-  explore_tasks ~cfg ~stop_on_violation ~on_run ~checkpoint_every
+  explore_tasks ~cfg ~stop_on_violation ~classify ~checkpoint_every
     ~on_checkpoint ~domains ~n ~participants ~subject subtrees
 
 let pp_stats ppf s =

@@ -5,10 +5,14 @@
     The explorer enumerates schedules of {!Fact_runtime.Exec} by
     depth-first search over scheduling decisions: at every interleaving
     point it can step any alive process or (within a crash budget)
-    crash one. Each branch is executed by restarting the protocol from
-    scratch under a {!Fact_runtime.Schedule.controlled} schedule that
-    replays the decision prefix — the standard stateless-search
-    architecture of systematic concurrency testers.
+    crash one. Processes are step values ({!Fact_runtime.Proc}), so an
+    execution state can be stored and resumed: every node on the DFS
+    path keeps the machine state and the event log right before its
+    decision ({!Fact_runtime.Exec.save}), and the memory writes since
+    are logged in an undo trail. A new execution restores the state of
+    the node where it branches off and runs only its fresh suffix; a
+    task's forced prefix (a subtree prefix or a resume frontier) is
+    executed once, by its first run.
 
     Two reduction/bounding mechanisms keep the search tractable:
 
@@ -42,11 +46,13 @@
     [Parallel.default_domains], i.e. [FACT_DOMAINS]) the tree is split
     into several tasks that run on the work-stealing domain pool,
     sleep-set pruning staying local to each subtree. Per-task tallies
-    are merged by a deterministic reduction (counter sums, pattern-set
-    union, violation concatenation in task order), so the resulting
-    stats are bit-identical for {e any} domain count. If the [max_runs]
-    budget trips, the optimistic parallel pass is discarded and the
-    tasks are replayed in order with the exact budget. See DESIGN.md
+    are merged by a deterministic reduction (counter sums, pattern- and
+    class-set unions, violation concatenation in task order), so the
+    resulting stats are bit-identical for {e any} domain count. Under a
+    [max_runs] budget, tasks are committed in order: a task's parallel
+    result is kept when it fits the budget the tasks before it leave,
+    the one task that straddles the budget is rerun with its exact
+    remaining budget, and tasks past it abort early. See DESIGN.md
     §5b. *)
 
 open Fact_topology
@@ -71,10 +77,12 @@ type 'r outcome = {
 }
 
 type 'r stats = {
-  runs : int;            (** completed runs (every fiber terminated) *)
+  runs : int;            (** completed runs (every process stopped) *)
   truncated : int;       (** runs cut by [max_depth] *)
   pruned : int;          (** prefixes abandoned by sleep-set pruning *)
   crash_patterns : int;  (** distinct faulty sets over completed runs *)
+  classes : int list list;
+      (** distinct [classify] values over the counted runs, sorted *)
   violations : 'r outcome list;  (** property failures, oldest first *)
   exhausted : bool;      (** the whole bounded space was covered *)
 }
@@ -89,6 +97,10 @@ type tally = {
   t_pruned : int;
   t_patterns : int list;
       (** {!Pset.to_mask} of each completed run's faulty set *)
+  t_classes : int list list;
+      (** the task's distinct [classify] values. Not persisted by
+          {!Checkpoint}: a harness that classifies keeps the union in
+          its own checkpoint field. *)
   t_viol : (Trace.decision list * bool) list;
       (** the violating runs found so far, as (decisions, truncated)
           pairs, oldest first. Only traces are persisted, never
@@ -105,10 +117,10 @@ type tally = {
 type progress = Todo | Done of tally | Active of tally * frontier
 (** Where one subtree task stands: not started, finished, or
     interrupted with its counters so far and a resumable frontier that
-    extends the subtree's prefix. [enabled] sets, sleep sets and
-    pending operations are deliberately absent: they are deterministic
-    functions of the decision prefix, so resuming replays one run under
-    forcing along the frontier to rebuild them. *)
+    extends the subtree's prefix. [enabled] sets, sleep sets and saved
+    states are deliberately absent: they are deterministic functions of
+    the decision prefix, so resuming executes one run under forcing
+    along the frontier to rebuild them, then branches from there. *)
 
 type subtree = {
   prefix : frontier;
@@ -125,7 +137,7 @@ type snapshot = subtree list
 val explore :
   ?config:config ->
   ?stop_on_violation:bool ->
-  ?on_run:('r outcome -> unit) ->
+  ?classify:('r outcome -> int list option) ->
   ?resume:snapshot ->
   ?checkpoint_every:int ->
   ?on_checkpoint:(snapshot -> unit) ->
@@ -136,29 +148,29 @@ val explore :
   unit ->
   'r stats
 (** [explore ~n ~participants ~subject ()] runs the DFS. [subject] is
-    called once per execution and must return a fresh {!Subject.t}:
-    fresh process closures over fresh shared state, paired with the
-    monitors and verdict of that execution's assertions (wrap plain
-    processes and a report property with {!Subject.of_procs}). The
-    subject's [check] is evaluated on every (completed or truncated)
-    run; a [check] needing no events leaves both hooks [None] and the
-    search is bit-identical to the historical unmonitored engine.
-    [on_run] observes every counted run. [stop_on_violation] (default
-    [false]) stops at the first failure — useful as a counterexample
-    finder. [domains] (default [Parallel.default_domains ()]) > 1 fans
-    the search out over the domain pool; the resulting stats are
-    identical whatever the value. Every path runs the subtree-task
-    driver: one domain runs the single root task, or a resumed
-    snapshot's tasks in order.
+    called once per subtree task (and once per uncounted replay) and
+    must return a fresh {!Subject.t}: fresh processes over fresh shared
+    state, paired with the verdict of that instance's assertions (wrap
+    plain processes and a report property with {!Subject.of_procs}).
+    The subject's [check] is evaluated on every (completed or
+    truncated) run; a subject that observes no process records no
+    events. [classify] maps a counted run to a class (e.g. the ordered
+    partition of an immediate-snapshot run, as block masks); the
+    distinct classes of the committed runs come back in
+    [stats.classes]. [stop_on_violation] (default [false]) stops at the
+    first failure — useful as a counterexample finder. [domains]
+    (default [Parallel.default_domains ()]) > 1 fans the search out
+    over the domain pool; the resulting stats are identical whatever
+    the value. Every path runs the subtree-task driver: one domain runs
+    the single root task, or a resumed snapshot's tasks in order.
 
-    {b Parallel-mode caveats.} [subject] and [on_run] run on worker
+    {b Parallel-mode caveats.} [subject] and [classify] run on worker
     domains, possibly concurrently — they must be thread-safe (fresh
-    state per execution plus immutable/interned shared data satisfies
-    this; an [on_run] that accumulates must lock). When the [max_runs]
-    budget trips mid-search, the optimistic parallel pass is discarded
-    and recomputed, so [on_run] may observe some runs more than once
-    across the two passes — consumers should be idempotent. Splitting
-    the tree costs a handful of uncounted probe executions.
+    state per task plus immutable/interned shared data satisfies this).
+    [classify] must also be pure: under a [max_runs] budget it may see
+    runs of a speculative pass whose results are then discarded, which
+    is harmless because only committed tasks' classes are merged.
+    Splitting the tree costs a handful of uncounted probe executions.
 
     {b Resilience.} The ambient {!Fact_resilience.Cancel} token is
     polled once per execution (on every worker); on a trip each task
@@ -167,9 +179,9 @@ val explore :
     error. [checkpoint_every = k > 0] also calls [on_checkpoint] every
     [k] executions (per task). [resume] restores a
     previous snapshot: counters continue from the snapshot and each
-    interrupted DFS first replays its frontier under forcing, so the
-    resumed exploration reaches exactly the stats an uninterrupted one
-    would; recorded violations are re-evaluated by uncounted observed
+    interrupted DFS first re-executes its frontier under forcing, so
+    the resumed exploration reaches exactly the stats an uninterrupted
+    one would; recorded violations are re-evaluated by uncounted
     replays against the current subject rather than trusted (see
     [t_viol]). Resuming against a different protocol or configuration
     raises a [Precondition] {!Fact_resilience.Fact_error}. *)

@@ -7,10 +7,6 @@ open Fact_runtime
 (* One-shot immediate snapshot.                                       *)
 (* ------------------------------------------------------------------ *)
 
-let is_procs ~n () =
-  let is = Immediate_snapshot.create n in
-  Array.init n (fun _ pid -> Immediate_snapshot.write_snapshot is ~pid pid)
-
 let views_of_report report =
   List.map
     (fun (i, view) -> (i, Immediate_snapshot.view_set view))
@@ -34,15 +30,19 @@ let is_make ?mutation ~n () =
     let mem = Memory.create n in
     let procs =
       Array.init n (fun _ pid ->
-          Memory.update mem ~pid pid;
-          let snap = Memory.snapshot mem in
+          let open Proc in
+          let* () = Memory.update mem ~pid pid in
+          let* snap = Memory.snapshot mem in
           Array.to_list snap
           |> List.mapi (fun j c -> (j, c))
           |> List.filter_map (function
                | j, Some v -> Some (j, v)
-               | _, None -> None))
+               | _, None -> None)
+          |> return)
     in
     (procs, [ ("is", Memory.id mem) ])
+
+let is_procs ~n () = fst (is_make ~n ())
 
 let is_named =
   [
@@ -237,10 +237,10 @@ let builtin ~protocol name =
 
 (* The checkpoint plumbing shared by the explorations: a resumed
    checkpoint must name this protocol and universe, and every emitted
-   snapshot is wrapped with them (plus [parts ()], the IS harness's
-   observed partitions). *)
-let explore ~fn ~protocol ?(parts = fun () -> []) ~config ?stop_on_violation
-    ?on_run ?resume ?checkpoint_every ?on_checkpoint ?domains ~n
+   snapshot is wrapped with them (plus [parts snapshot], the IS
+   harness's observed partitions). *)
+let explore ~fn ~protocol ?(parts = fun _ -> []) ~config ?stop_on_violation
+    ?classify ?resume ?checkpoint_every ?on_checkpoint ?domains ~n
     ~participants ~subject () =
   let resume =
     Option.map
@@ -258,49 +258,50 @@ let explore ~fn ~protocol ?(parts = fun () -> []) ~config ?stop_on_violation
   let on_checkpoint =
     Option.map
       (fun f state ->
-        f { Checkpoint.protocol; n; participants; state; parts = parts () })
+        f { Checkpoint.protocol; n; participants; state; parts = parts state })
       on_checkpoint
   in
-  Explore.explore ~config ?stop_on_violation ?on_run ?resume
+  Explore.explore ~config ?stop_on_violation ?classify ?resume
     ?checkpoint_every ?on_checkpoint ?domains ~n ~participants ~subject ()
 
 let explore_immediate_snapshot ?(max_depth = 64) ?(max_runs = 100_000)
     ?mutation ?assertion ?stop_on_violation ?resume ?checkpoint_every
     ?on_checkpoint ?domains ~n () =
-  let parts =
-    ref (match resume with Some ck -> ck.Checkpoint.parts | None -> [])
+  (* A completed run's ordered partition is its class, as block masks;
+     the explorer keeps the distinct classes per subtree task, the way
+     it keeps crash patterns. Partitions of a resumed checkpoint were
+     observed before the resume and join the union. *)
+  let classify (outcome : _ Explore.outcome) =
+    if outcome.truncated then None
+    else
+      Option.map
+        (fun part -> List.map Pset.to_mask (Opart.blocks part))
+        (Opart.of_views (views_of_report outcome.report))
   in
-  (* [record] runs on worker domains under parallel exploration,
-     possibly concurrently and (if the run budget trips) more than
-     once per run — a locked set-insert is both thread-safe and
-     idempotent. *)
-  let parts_lock = Mutex.create () in
-  let record (outcome : _ Explore.outcome) =
-    if not outcome.truncated then
-      match Opart.of_views (views_of_report outcome.report) with
-      | Some part ->
-        Mutex.lock parts_lock;
-        if not (List.exists (Opart.equal part) !parts) then
-          parts := part :: !parts;
-        Mutex.unlock parts_lock
-      | None -> ()
+  let base = match resume with Some ck -> ck.Checkpoint.parts | None -> [] in
+  let parts_of classes =
+    List.sort_uniq Opart.compare
+      (base @ List.map (fun c -> Opart.make (List.map Pset.of_mask c)) classes)
   in
-  let sorted_parts () =
-    Mutex.lock parts_lock;
-    let ps = List.sort Opart.compare !parts in
-    Mutex.unlock parts_lock;
-    ps
+  let snapshot_parts (snap : Explore.snapshot) =
+    parts_of
+      (List.concat_map
+         (fun st ->
+           match st.Explore.progress with
+           | Explore.Todo -> []
+           | Explore.Done t | Explore.Active (t, _) -> t.Explore.t_classes)
+         snap)
   in
   let stats =
     explore ~fn:"Harness.explore_immediate_snapshot" ~protocol:"is"
-      ~parts:sorted_parts
+      ~parts:snapshot_parts
       ~config:(Explore.config ~max_depth ~max_runs ())
-      ?stop_on_violation ~on_run:record ?resume ?checkpoint_every
+      ?stop_on_violation ~classify ?resume ?checkpoint_every
       ?on_checkpoint ?domains ~n ~participants:(Pset.full n)
       ~subject:(is_subject ?mutation ?assertion ~n ())
       ()
   in
-  (stats, sorted_parts ())
+  (stats, parts_of stats.Explore.classes)
 
 let explore_algorithm1 ?(skip_wait = false) ?mutation ?variant ?assertion
     ?max_crashes ?(max_depth = 64) ?(max_runs = 100_000) ?stop_on_violation

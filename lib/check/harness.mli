@@ -24,15 +24,15 @@
       [Agreement 1] it exhibits the classic consensus counterexample.
 
     Each assertion suite is boolean-equivalent, run by run, to the
-    hand-written oracle it replaced, and the default monitors are
-    passive (no per-event hooks), so exploration counts are
-    bit-identical to the historical engine. *)
+    hand-written oracle it replaced, and the default assertions read
+    no events (their subjects observe no process), so exploration
+    counts are bit-identical to the historical engine. *)
 
 open Fact_topology
 open Fact_adversary
 open Fact_runtime
 
-val is_procs : n:int -> unit -> (int -> (int * int) list) array
+val is_procs : n:int -> unit -> (int -> (int * int) list Proc.t) array
 (** Fresh process closures over a fresh one-shot IS for [n] processes:
     process [i] write-snapshots its own id and returns its view. *)
 
@@ -57,7 +57,7 @@ val is_subject :
   unit -> (int * int) list Subject.t
 (** Subject factory for the one-shot IS: each call of the returned
     thunk builds a fresh instance, its assertion environment (object
-    ["is"], named assertion ["is-valid-views"]) and monitors. *)
+    ["is"], named assertion ["is-valid-views"]) and verdict. *)
 
 val alg1_prop : ra:Complex.t -> Algorithm1.output Exec.report -> bool
 (** Theorem 7 safety: the decided outputs form a simplex of [R_A]
@@ -145,11 +145,11 @@ val explore_immediate_snapshot :
 
     [resume]/[checkpoint_every]/[on_checkpoint]/[domains] thread
     through to {!Explore.explore}, with the observed partitions
-    carried in the {!Checkpoint.t} ([protocol = "is"]); partition
-    collection is thread-safe and idempotent, as parallel exploration
-    requires of [on_run]. Resuming from a checkpoint of another
-    protocol or universe raises a [Precondition]
-    {!Fact_resilience.Fact_error}. *)
+    carried in the {!Checkpoint.t} ([protocol = "is"]). Partitions are
+    the explorer's run classes, kept per subtree task, so they come
+    from exactly the committed runs at any domain count and budget.
+    Resuming from a checkpoint of another protocol or universe raises
+    a [Precondition] {!Fact_resilience.Fact_error}. *)
 
 val explore_algorithm1 :
   ?skip_wait:bool ->

@@ -28,7 +28,7 @@ val shrink_trace : still_fails:(Trace.t -> bool) -> Trace.t -> Trace.t
     fresh state). Assumes [still_fails tr]. *)
 
 val shrink :
-  procs:(unit -> (int -> 'r) array) ->
+  procs:(unit -> (int -> 'r Proc.t) array) ->
   fails:('r Exec.report -> bool) ->
   Trace.t ->
   Trace.t

@@ -39,10 +39,13 @@ let run_subject ?max_steps ?(truncated = false) ~(subject : _ Subject.t) tr =
   let max_steps =
     match max_steps with Some m -> m | None -> Trace.length tr + 1
   in
+  let events = ref [] in
+  let note e = events := Subject.record subject e !events in
   let report =
-    Exec.run ~max_steps ?on_step:subject.Subject.on_step
-      ?on_crash:subject.Subject.on_crash ~schedule:(schedule tr)
-      subject.Subject.procs
+    Exec.run ~max_steps
+      ~on_step:(fun ~pid op -> note (Subject.Stepped { e_pid = pid; e_op = op }))
+      ~on_crash:(fun ~pid -> note (Subject.Crashed { e_pid = pid }))
+      ~schedule:(schedule tr) subject.Subject.procs
   in
   (* A trace that leaves participants running (e.g. a shrinking
      candidate that cut the tail of a run) is a partial execution
@@ -54,7 +57,9 @@ let run_subject ?max_steps ?(truncated = false) ~(subject : _ Subject.t) tr =
       (fun p -> report.Exec.outcomes.(p) = Exec.Running)
       (Trace.participants tr)
   in
-  (report, subject.Subject.check report ~truncated:(truncated || partial))
+  ( report,
+    subject.Subject.check report ~events:!events
+      ~truncated:(truncated || partial) )
 
 let check ?truncated ~subject tr =
   snd (run_subject ?truncated ~subject:(subject ()) tr)

@@ -18,7 +18,7 @@ val schedule : Trace.t -> Schedule.t
     then stops. Stateful — build a new one per run. *)
 
 val run :
-  ?max_steps:int -> procs:(int -> 'r) array -> Trace.t -> 'r Exec.report
+  ?max_steps:int -> procs:(int -> 'r Proc.t) array -> Trace.t -> 'r Exec.report
 (** [run ~procs tr] replays [tr] against freshly created processes
     (the caller must supply fresh shared state — replaying against
     used state is meaningless). *)
@@ -29,10 +29,9 @@ val run_subject :
   subject:'r Subject.t ->
   Trace.t ->
   'r Exec.report * (unit, string) result
-(** Observed replay: run the trace against a fresh {!Subject.t} with
-    its monitor hooks attached, evaluating the subject's assertions
-    incrementally along the replay, and return the report together
-    with the verdict. [truncated] (default [false]) tells liveness
+(** Observed replay: run the trace against a fresh {!Subject.t},
+    recording the events of its observed processes, and return the
+    report together with the subject's verdict on it. [truncated] (default [false]) tells liveness
     assertions the original run hit the depth budget, so they hold
     vacuously — pass it when re-checking a truncated exploration
     outcome. *)

@@ -36,18 +36,19 @@ let objects inst =
 type mutation = Skip_wait | Drop_second_snapshot | Biased_view
 
 let process ?(skip_wait = false) ?mutation inst alpha ~pid =
+  let open Proc in
   let skip_wait = skip_wait || mutation = Some Skip_wait in
   let a p = Agreement.eval alpha p in
   (* Line 5: first immediate snapshot, then publish IS1[i]. *)
-  let view1_pairs = Immediate_snapshot.write_snapshot inst.first ~pid pid in
+  let* view1_pairs = Immediate_snapshot.write_snapshot inst.first ~pid pid in
   let is1 = Immediate_snapshot.view_set view1_pairs in
-  Memory.update inst.reg_is1 ~pid is1;
+  let* () = Memory.update inst.reg_is1 ~pid is1 in
   (* Lines 6-9: wait until crit or rank < conc. Each probe reads the
      three register arrays (each read is an atomic step). *)
   let rec wait () =
-    let s1 = Memory.snapshot inst.reg_is1 in
-    let s2 = Memory.snapshot inst.reg_is2 in
-    let sc = Memory.snapshot inst.reg_conc in
+    let* s1 = Memory.snapshot inst.reg_is1 in
+    let* s2 = Memory.snapshot inst.reg_is2 in
+    let* sc = Memory.snapshot inst.reg_conc in
     let same_view j = match s1.(j) with
       | Some v -> Pset.equal v is1
       | None -> false
@@ -63,16 +64,16 @@ let process ?(skip_wait = false) ?mutation inst alpha ~pid =
         (fun acc c -> match c with Some c -> max acc c | None -> acc)
         (a is1) sc
     in
-    if crit || rank < conc then () else wait ()
+    if crit || rank < conc then return () else wait ()
   in
-  if not skip_wait then wait ();
+  let* () = if skip_wait then return () else wait () in
   (* Line 10: second immediate snapshot on the IS1 view, publish. *)
-  let view2_pairs =
+  let* view2_pairs =
     match mutation with
     | Some Drop_second_snapshot ->
       (* mutant: the second IS round is dropped entirely — the process
          reports only its own pair, as if it ran the round alone *)
-      [ (pid, is1) ]
+      return [ (pid, is1) ]
     | _ -> Immediate_snapshot.write_snapshot inst.second ~pid is1
   in
   let view2_pairs =
@@ -83,11 +84,11 @@ let process ?(skip_wait = false) ?mutation inst alpha ~pid =
       match view2_pairs with _ :: (_ :: _ as rest) -> rest | v -> v)
     | _ -> view2_pairs
   in
-  Memory.update inst.reg_is2 ~pid view2_pairs;
+  let* () = Memory.update inst.reg_is2 ~pid view2_pairs in
   (* Lines 11-12: publish the concurrency level witnessed by a
      terminated critical simplex. *)
-  let s1 = Memory.snapshot inst.reg_is1 in
-  let s2 = Memory.snapshot inst.reg_is2 in
+  let* s1 = Memory.snapshot inst.reg_is1 in
+  let* s2 = Memory.snapshot inst.reg_is2 in
   let same_done =
     Pset.filter
       (fun j ->
@@ -95,9 +96,12 @@ let process ?(skip_wait = false) ?mutation inst alpha ~pid =
         && s2.(j) <> None)
       (Pset.full (Memory.n inst.reg_is1))
   in
-  if a is1 > a (Pset.diff is1 same_done) then
-    Memory.update inst.reg_conc ~pid (a is1);
-  { pid; view1 = is1; view2 = view2_pairs }
+  let* () =
+    if a is1 > a (Pset.diff is1 same_done) then
+      Memory.update inst.reg_conc ~pid (a is1)
+    else return ()
+  in
+  return { pid; view1 = is1; view2 = view2_pairs }
 
 let run ?max_steps ?skip_wait alpha ~schedule =
   let n = Schedule.n schedule in

@@ -46,7 +46,7 @@ type mutation = Skip_wait | Drop_second_snapshot | Biased_view
 
 val process :
   ?skip_wait:bool -> ?mutation:mutation -> instance -> Agreement.t ->
-  pid:int -> output
+  pid:int -> output Proc.t
 (** The protocol for one process, to be run under {!Exec.run}.
     [skip_wait] (default [false]) is the historical spelling of
     [~mutation:Skip_wait]: it removes the wait-phase, and outputs then

@@ -26,9 +26,10 @@ type t
 
 val create : Agreement.t -> t
 
-val propose : t -> pid:int -> value:int -> int
-(** To be run inside {!Exec.run} fibers (performs yields). One-shot
-    per process. *)
+val propose : t -> pid:int -> value:int -> int Proc.t
+(** To be run under {!Exec.run}: registering participation and each
+    attempt are atomic steps on the object (unlabeled operations, see
+    {!Memory.modify}). One-shot per process. *)
 
 val participation : t -> Pset.t
 (** Processes that have invoked [propose] so far. *)

@@ -1,15 +1,5 @@
 open Fact_topology
 
-type _ Effect.t += Yield : Op.t option -> unit Effect.t
-
-let yield () =
-  try Effect.perform (Yield None) with
-  | Effect.Unhandled (Yield _) -> ()
-
-let yield_op op =
-  try Effect.perform (Yield (Some op)) with
-  | Effect.Unhandled (Yield _) -> ()
-
 type 'r outcome = Decided of 'r | Crashed of int | Running
 
 type 'r report = {
@@ -18,112 +8,166 @@ type 'r report = {
   hit_step_budget : bool;
 }
 
-(* A fiber is either not yet started, paused at a yield (remembering
-   the operation it is about to perform, if announced), or done. *)
-type 'r status =
-  | Finished of 'r
-  | Paused of Op.t option * (unit, 'r status) Effect.Deep.continuation
+(* The undo trail: one entry per memory write, the cell and the value
+   it held before. Restoring a state pops entries down to the state's
+   mark, so memory goes back without being copied. *)
+type undo = Undo : 'v option array * int * 'v option -> undo
 
-type 'r fiber =
-  | Not_started of (unit -> 'r)
-  | Suspended of (unit, 'r status) Effect.Deep.continuation
-  | Terminated
+type trail = { mutable entries : undo array; mutable len : int }
 
-exception Killed
+let no_undo = Undo ([||], 0, None)
 
-let handler =
+let log trail cells i =
+  if trail.len = Array.length trail.entries then begin
+    let bigger = Array.make (2 * trail.len + 16) no_undo in
+    Array.blit trail.entries 0 bigger 0 trail.len;
+    trail.entries <- bigger
+  end;
+  trail.entries.(trail.len) <- Undo (cells, i, cells.(i));
+  trail.len <- trail.len + 1
+
+let apply : type a. trail -> a Op.req -> a =
+ fun trail req ->
+  match req with
+  | Op.Write_cell (s, i, v) ->
+    log trail s.cells i;
+    s.cells.(i) <- Some v
+  | Op.Read_cell (s, i) -> s.cells.(i)
+  | Op.Snapshot_cells s -> Array.copy s.cells
+  | Op.Update_cell (s, i, f) ->
+    let v, answer = f s.cells.(i) in
+    log trail s.cells i;
+    s.cells.(i) <- v;
+    answer
+
+(* A process is not started, suspended before a request, or stopped
+   (decided, crashed or not a participant). Slots are immutable, so
+   saving a machine copies one array of [n] pointers. *)
+type 'r status = Fresh | Suspended of 'r Proc.t | Stopped
+
+type 'r slot = {
+  status : 'r status;
+  outcome : 'r outcome;
+  pend : Op.pending;
+  taken : int; (* steps taken *)
+}
+
+type 'r machine = {
+  procs : (int -> 'r Proc.t) array;
+  slots : 'r slot array;
+  mutable total : int;
+  mutable alive : Pset.t;
+  trail : trail;
+}
+
+type 'r state = {
+  s_slots : 'r slot array;
+  s_total : int;
+  s_alive : Pset.t;
+  s_mark : int;
+}
+
+let start ~n ~participants procs =
+  if Array.length procs <> n then invalid_arg "Exec.start: arity mismatch";
+  let idle = { status = Stopped; outcome = Running; pend = Op.Start; taken = 0 } in
+  let fresh = { idle with status = Fresh } in
   {
-    Effect.Deep.retc = (fun r -> Finished r);
-    exnc = raise;
-    effc =
-      (fun (type a) (eff : a Effect.t) ->
-        match eff with
-        | Yield op ->
-          Some
-            (fun (k : (a, _) Effect.Deep.continuation) -> Paused (op, k))
-        | _ -> None);
+    procs;
+    slots = Array.init n (fun i -> if Pset.mem i participants then fresh else idle);
+    total = 0;
+    alive = participants;
+    trail = { entries = [||]; len = 0 };
   }
 
+let alive m = m.alive
+let pending m pid = m.slots.(pid).pend
+
+let step m pid =
+  let s = m.slots.(pid) in
+  let next =
+    match s.status with
+    | Fresh -> m.procs.(pid) pid
+    | Suspended (Proc.Step (req, k)) -> k (apply m.trail req)
+    | Suspended (Proc.Done _) | Stopped -> invalid_arg "Exec.step: not alive"
+  in
+  m.total <- m.total + 1;
+  let taken = s.taken + 1 in
+  m.slots.(pid) <-
+    (match next with
+    | Proc.Done r ->
+      m.alive <- Pset.remove pid m.alive;
+      { s with status = Stopped; outcome = Decided r; taken }
+    | Proc.Step (req, _) ->
+      { status = Suspended next; outcome = Running;
+        pend = Op.pending_of_req req; taken })
+
+let crash m pid =
+  let s = m.slots.(pid) in
+  (match s.status with
+  | Stopped -> invalid_arg "Exec.crash: not alive"
+  | Fresh | Suspended _ -> ());
+  m.alive <- Pset.remove pid m.alive;
+  m.slots.(pid) <- { s with status = Stopped; outcome = Crashed s.taken }
+
+let report ?(hit_step_budget = false) m =
+  { outcomes = Array.map (fun s -> s.outcome) m.slots; steps = m.total;
+    hit_step_budget }
+
+let save m =
+  { s_slots = Array.copy m.slots; s_total = m.total; s_alive = m.alive;
+    s_mark = m.trail.len }
+
+let restore m st =
+  let t = m.trail in
+  if st.s_mark > t.len then invalid_arg "Exec.restore: state out of order";
+  for j = t.len - 1 downto st.s_mark do
+    let (Undo (cells, i, v)) = t.entries.(j) in
+    cells.(i) <- v;
+    t.entries.(j) <- no_undo
+  done;
+  t.len <- st.s_mark;
+  Array.blit st.s_slots 0 m.slots 0 (Array.length m.slots);
+  m.total <- st.s_total;
+  m.alive <- st.s_alive
+
+let state_pending st pid = st.s_slots.(pid).pend
+
 let run ?(max_steps = 100_000) ?on_step ?on_crash ~schedule procs =
-  let n = Schedule.n schedule in
-  if Array.length procs <> n then invalid_arg "Exec.run: arity mismatch";
-  let participants = Schedule.participants schedule in
-  let fibers =
-    Array.init n (fun i ->
-        if Pset.mem i participants then Not_started (fun () -> procs.(i) i)
-        else Terminated)
+  let m =
+    start ~n:(Schedule.n schedule) ~participants:(Schedule.participants schedule)
+      procs
   in
-  let outcomes = Array.make n Running in
-  let pending = Array.make n Op.Start in
-  let steps_of = Array.make n 0 in
-  let total = ref 0 in
-  let alive () =
-    Pset.filter
-      (fun i -> match fibers.(i) with Terminated -> false | _ -> true)
-      participants
-  in
-  (* Unwind a suspended fiber so its finalizers (if any) run and its
-     stack is freed: a continuation that is neither resumed nor
-     discontinued keeps its stack alive forever. *)
-  let unwind pid =
-    (match fibers.(pid) with
-    | Suspended k -> (
-      try ignore (Effect.Deep.discontinue k Killed) with Killed -> ())
-    | Not_started _ | Terminated -> ());
-    fibers.(pid) <- Terminated
-  in
-  let kill pid =
-    unwind pid;
-    outcomes.(pid) <- Crashed steps_of.(pid)
-  in
-  let step pid =
-    (match on_step with
-    | Some f -> f ~pid (pending.(pid) : Op.pending)
-    | None -> ());
-    let status =
-      match fibers.(pid) with
-      | Not_started f -> Effect.Deep.match_with f () handler
-      | Suspended k -> Effect.Deep.continue k ()
-      | Terminated -> assert false
-    in
-    steps_of.(pid) <- steps_of.(pid) + 1;
-    incr total;
-    match status with
-    | Finished r ->
-      fibers.(pid) <- Terminated;
-      outcomes.(pid) <- Decided r
-    | Paused (op, k) ->
-      fibers.(pid) <- Suspended k;
-      pending.(pid) <-
-        (match op with Some op -> Op.Op op | None -> Op.Unlabeled)
-  in
-  let pending_of i = pending.(i) in
-  let hit_budget = ref false in
+  let pending_of i = pending m i in
   let rec loop () =
-    let a = alive () in
-    if Pset.is_empty a then ()
-    else if !total >= max_steps then hit_budget := true
+    if Pset.is_empty m.alive then false
+    else if m.total >= max_steps then true
     else
-      match Schedule.next ~pending:pending_of schedule ~alive:a with
-      | None -> ()
+      match Schedule.next ~pending:pending_of schedule ~alive:m.alive with
+      | None -> false
       | Some pid ->
-        if Schedule.crash_now schedule ~pid ~steps_taken:steps_of.(pid) then begin
+        if
+          Schedule.crash_now schedule ~pid
+            ~steps_taken:m.slots.(pid).taken
+        then begin
           (match on_crash with Some f -> f ~pid | None -> ());
-          kill pid;
-          loop ()
+          crash m pid
         end
         else begin
-          step pid;
-          loop ()
-        end
+          (match on_step with Some f -> f ~pid (pending m pid) | None -> ());
+          step m pid
+        end;
+        loop ()
   in
-  loop ();
-  (* processes the schedule abandoned (truncated, blocked or budget-cut
-     runs) stay [Running] *)
-  for pid = 0 to n - 1 do
-    unwind pid
-  done;
-  { outcomes; steps = !total; hit_step_budget = !hit_budget }
+  let hit_step_budget = loop () in
+  report ~hit_step_budget m
+
+let solo p =
+  let trail = { entries = [||]; len = 0 } in
+  let rec go = function
+    | Proc.Done r -> r
+    | Proc.Step (req, k) -> go (k (apply trail req))
+  in
+  go p
 
 let decided r =
   Array.to_list r.outcomes

@@ -14,10 +14,11 @@ let n t = t.n
 let rounds t = Array.length t.memories
 
 let process t ~pid ~input =
+  let open Proc in
   let rec go r view =
-    if r = Array.length t.memories then view
+    if r = Array.length t.memories then return view
     else
-      let pairs =
+      let* pairs =
         Immediate_snapshot.write_snapshot t.memories.(r) ~pid view
       in
       go (r + 1) (Snap { pid; seen = List.map snd pairs })

@@ -20,7 +20,7 @@ val create : n:int -> rounds:int -> t
 val n : t -> int
 val rounds : t -> int
 
-val process : t -> pid:int -> input:int -> view
+val process : t -> pid:int -> input:int -> view Proc.t
 (** The full-information protocol for one process (to be run under
     {!Exec.run}); returns its final view. *)
 

@@ -8,11 +8,12 @@ let create n = { mem = Memory.create n }
 let id t = Memory.id t.mem
 
 let write_snapshot t ~pid v =
+  let open Proc in
   let n = Memory.n t.mem in
   let rec descend level =
     let level = level - 1 in
-    Memory.update t.mem ~pid { value = v; level };
-    let snap = Memory.snapshot t.mem in
+    let* () = Memory.update t.mem ~pid { value = v; level } in
+    let* snap = Memory.snapshot t.mem in
     let seen =
       Array.to_list snap
       |> List.mapi (fun j c -> (j, c))
@@ -20,7 +21,7 @@ let write_snapshot t ~pid v =
            | j, Some c when c.level <= level -> Some (j, c.value)
            | _ -> None)
     in
-    if List.length seen >= level then seen else descend level
+    if List.length seen >= level then return seen else descend level
   in
   descend (n + 1)
 

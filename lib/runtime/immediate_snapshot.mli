@@ -18,7 +18,7 @@ val id : 'a t -> int
     that labels the IS's operations in {!Op.t} descriptors, so frame
     assertions can name the object symbolically. *)
 
-val write_snapshot : 'a t -> pid:int -> 'a -> (int * 'a) list
+val write_snapshot : 'a t -> pid:int -> 'a -> (int * 'a) list Proc.t
 (** [WriteSnapshot(v)]: submits [v] and returns the set of submitted
     (process, value) pairs of the view, sorted by process id. One-shot
     per process. *)

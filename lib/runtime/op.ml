@@ -10,6 +10,26 @@ type pending =
   | Unlabeled
   | Op of t
 
+type 'v store = {
+  id : int;
+  cells : 'v option array;
+  writes : pending array;
+  reads : pending array;
+  snap : pending;
+}
+
+type _ req =
+  | Write_cell : 'v store * int * 'v -> unit req
+  | Read_cell : 'v store * int -> 'v option req
+  | Snapshot_cells : 'v store -> 'v option array req
+  | Update_cell : 'v store * int * ('v option -> 'v option * 'a) -> 'a req
+
+let pending_of_req : type a. a req -> pending = function
+  | Write_cell (s, i, _) -> s.writes.(i)
+  | Read_cell (s, i) -> s.reads.(i)
+  | Snapshot_cells s -> s.snap
+  | Update_cell _ -> Unlabeled
+
 let conflict a b =
   a.obj = b.obj
   &&

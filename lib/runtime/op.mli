@@ -1,11 +1,13 @@
-(** Descriptors of atomic shared-memory operations.
+(** Atomic shared-memory operations: the requests a process issues and
+    their descriptors.
 
-    Every shared-memory primitive of the runtime ({!Memory}, and hence
-    {!Immediate_snapshot} and everything above it) announces the
-    operation it is about to perform when it yields to the scheduler.
-    Schedules that care (the model-checking explorer of [Fact_check])
-    use the descriptors to decide which pairs of steps commute; the
-    built-in randomized schedules ignore them.
+    A process ({!Proc.t}) is a sequence of requests ({!req}) on shared
+    objects: write or read one cell, snapshot every cell, or atomically
+    update one cell. The executor ({!Exec}) performs each request as
+    one atomic step. Every request has a descriptor ({!pending}), which
+    schedules that care (the model-checking explorer of [Fact_check])
+    use to decide which pairs of steps commute; the built-in randomized
+    schedules ignore them.
 
     Two operations {e conflict} when the order of their execution can
     be observed: they touch the same object and overlapping cells, and
@@ -25,12 +27,34 @@ type t = {
 }
 
 type pending =
-  | Start      (** fiber not started: its first step runs only local
-                   code up to the first yield, no shared operation *)
-  | Unlabeled  (** suspended at a bare {!Exec.yield}: unknown
-                   operation, conservatively conflicts with
+  | Start      (** process not started: its first step runs only local
+                   code up to its first request, no shared operation *)
+  | Unlabeled  (** suspended before an {!Update_cell}: an opaque
+                   read-modify-write, conservatively conflicting with
                    everything *)
   | Op of t    (** suspended immediately before this operation *)
+
+type 'v store = {
+  id : int;
+  cells : 'v option array;  (** [None] = never written *)
+  writes : pending array;   (** the descriptor of a write, per cell *)
+  reads : pending array;    (** the descriptor of a read, per cell *)
+  snap : pending;           (** the descriptor of a snapshot *)
+}
+(** The state of one shared object. Only {!Memory} creates stores and
+    only the executor changes their cells; the descriptors are built
+    once, so announcing a pending operation allocates nothing. *)
+
+type _ req =
+  | Write_cell : 'v store * int * 'v -> unit req
+  | Read_cell : 'v store * int -> 'v option req
+  | Snapshot_cells : 'v store -> 'v option array req
+  | Update_cell : 'v store * int * ('v option -> 'v option * 'a) -> 'a req
+      (** replace cell [i] by the first component of [f old], return
+          the second; [f] must be pure *)
+
+val pending_of_req : 'a req -> pending
+(** The descriptor of a request. *)
 
 val conflict : t -> t -> bool
 (** Same object, overlapping cells, at least one write. *)

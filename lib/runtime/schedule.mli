@@ -42,7 +42,7 @@ val controlled :
     to step (or [None] to stop the run), [crash_now] decides crashes.
     This is the hook the systematic explorer and the trace replayer of
     [Fact_check] plug into; the callbacks see the pending operation of
-    every suspended fiber. *)
+    every suspended process. *)
 
 val round_robin : n:int -> participants:Pset.t -> t
 (** Failure-free round-robin among the participants. *)

@@ -11,12 +11,13 @@ let objects inst = [ ("mem", Memory.id inst.mem) ]
 let proposal inst pid = inst.proposals.(pid)
 
 let process ?(biased = false) inst ~pid =
+  let open Proc in
   let own = inst.proposals.(pid) in
-  Memory.update inst.mem ~pid own;
-  let snap = Memory.snapshot inst.mem in
+  let* () = Memory.update inst.mem ~pid own in
+  let* snap = Memory.snapshot inst.mem in
   let m =
     Array.fold_left
       (fun acc c -> match c with Some v -> min acc v | None -> acc)
       own snap
   in
-  if biased then m + 1 else m
+  return (if biased then m + 1 else m)

@@ -27,7 +27,7 @@ val objects : instance -> (string * int) list
 
 val proposal : instance -> int -> int
 
-val process : ?biased:bool -> instance -> pid:int -> int
+val process : ?biased:bool -> instance -> pid:int -> int Proc.t
 (** One process: update, snapshot, decide the minimum seen. [biased]
     (default [false]) is a seeded mutant that decides [min + 1] — a
     non-proposed value, caught by the validity assertion. *)

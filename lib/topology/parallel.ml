@@ -249,8 +249,10 @@ let run_all ?workers thunks =
     (match my with
     | Some i when i < Array.length pool.deques ->
       (* nested fan-out from inside a job: keep it on our own deque so
-         it runs depth-first (and stays stealable) *)
-      List.iter (Deque.push_back pool.deques.(i)) jobs
+         it runs depth-first (and stays stealable). Pushed last job
+         first, so this worker pops the group in submission order and
+         thieves take its last jobs. *)
+      List.iter (Deque.push_back pool.deques.(i)) (List.rev jobs)
     | _ -> List.iter (fun j -> Queue.add j pool.injector) jobs);
     Condition.broadcast pool.wake;
     (* Help until the group completes: run any available job — ours or

@@ -11,7 +11,8 @@
     deque LIFO, then the injector, then steal FIFO from other deques;
     a nested fan-out issued from inside a job goes to the issuing
     worker's own deque, so recursion runs depth-first without spawning
-    or deadlocking.
+    or deadlocking; the issuing worker pops its group in submission
+    order while thieves take the group's last jobs.
 
     For {!map}: lists are split into contiguous chunks, results are
     concatenated in order — so for a pure [f] the output equals

@@ -112,11 +112,17 @@ let framed_subject =
     ~make:(fun () ->
       let a = Memory.create 3 in
       let b = Memory.create 3 in
+      let update_snapshot pid =
+        let open Proc in
+        let* () = Memory.update a ~pid pid in
+        let* snap = Memory.snapshot a in
+        return (Array.length snap)
+      in
       let procs =
         [|
-          (fun pid -> Memory.update a ~pid pid; Array.length (Memory.snapshot a));
-          (fun pid -> Memory.update a ~pid pid; Array.length (Memory.snapshot a));
-          (fun pid -> Memory.update b ~pid pid; 0);
+          update_snapshot;
+          update_snapshot;
+          (fun pid -> Proc.bind (Memory.update b ~pid pid) (fun () -> Proc.return 0));
         |]
       in
       ( procs,
@@ -208,20 +214,10 @@ let prop_commuting_swaps_wsmin =
   let observed_ops tr =
     (* instrument a replay to learn each decision's pending operation *)
     let ops = ref [] in
-    let s = subject () in
-    let recording =
-      {
-        s with
-        Subject.on_step =
-          Some
-            (fun ~pid op ->
-              ops := (pid, op) :: !ops;
-              match s.Subject.on_step with
-              | Some f -> f ~pid op
-              | None -> ());
-      }
-    in
-    ignore (Replay.run_subject ~subject:recording tr);
+    ignore
+      (Exec.run
+         ~on_step:(fun ~pid op -> ops := (pid, op) :: !ops)
+         ~schedule:(Replay.schedule tr) (subject ()).Subject.procs);
     Array.of_list (List.rev !ops)
   in
   QCheck.Test.make ~name:"commuting swaps keep Agreement verdicts" ~count:60

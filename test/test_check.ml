@@ -68,10 +68,12 @@ let counter_procs () =
      memory; the decided values depend on the interleaving. *)
   let mem = Memory.create 2 in
   Array.init 2 (fun _ pid ->
-      Memory.update mem ~pid (10 * (pid + 1));
-      let snap = Memory.snapshot mem in
-      Memory.update mem ~pid (100 * (pid + 1));
-      Array.to_list snap |> List.filter_map Fun.id |> List.fold_left ( + ) 0)
+      let open Proc in
+      let* () = Memory.update mem ~pid (10 * (pid + 1)) in
+      let* snap = Memory.snapshot mem in
+      let* () = Memory.update mem ~pid (100 * (pid + 1)) in
+      return
+        (Array.to_list snap |> List.filter_map Fun.id |> List.fold_left ( + ) 0))
 
 let test_replay_matches_sequential () =
   (* The trace of a fully sequential schedule replays to the same
@@ -85,9 +87,8 @@ let test_replay_matches_sequential () =
   in
   steps_of 0;
   steps_of 1;
-  (* p0 runs to completion (4 scheduled steps: the start plus one
-     resume per yield point — each Memory op yields before executing),
-     then p1. *)
+  (* p0 runs to completion (4 scheduled steps: the start plus one per
+     Memory request), then p1. *)
   let tr =
     Trace.make ~n:2 ~participants:(Pset.full 2)
       [ Trace.Step 0; Trace.Step 0; Trace.Step 0; Trace.Step 0;
@@ -203,8 +204,7 @@ let test_explore_sleep_sets_prune () =
   let procs () =
     let mem = Memory.create 2 in
     Array.init 2 (fun _ pid ->
-        Memory.update mem ~pid pid;
-        pid)
+        Proc.bind (Memory.update mem ~pid pid) (fun () -> Proc.return pid))
   in
   let stats =
     Explore.explore ~n:2 ~participants:(Pset.full 2)
@@ -494,6 +494,124 @@ let test_explore_parallel_counterexample () =
         seq (shrunk_at d))
     [ 2; 4 ]
 
+(* ------------------------------------------------------------------ *)
+(* Budgeted parallel exploration: committed runs only                 *)
+(* ------------------------------------------------------------------ *)
+
+let test_explore_budget_identical () =
+  (* Under a run budget the parallel driver commits exactly the runs of
+     the in-order search: the stats line and the partition list (built
+     from committed runs only) agree at 1, 2 and 4 domains. *)
+  let alpha = Agreement.of_adversary (Adversary.wait_free 2) in
+  let is_at ~domains ~max_runs =
+    let s, parts =
+      Harness.explore_immediate_snapshot ~domains ~max_runs ~n:3 ()
+    in
+    ( Format.asprintf "%a" Explore.pp_stats s,
+      List.map (Format.asprintf "%a" Opart.pp) parts )
+  in
+  let alg1_at ~domains ~max_runs =
+    let s =
+      Harness.explore_algorithm1 ~domains ~max_runs ~alpha
+        ~participants:(Pset.full 2) ()
+    in
+    (Format.asprintf "%a" Explore.pp_stats s, [])
+  in
+  List.iter
+    (fun (name, at) ->
+      List.iter
+        (fun max_runs ->
+          let seq = at ~domains:1 ~max_runs in
+          List.iter
+            (fun d ->
+              check_bool
+                (Printf.sprintf "%s max_runs=%d identical at %d domains" name
+                   max_runs d)
+                true
+                (at ~domains:d ~max_runs = seq))
+            [ 2; 4 ])
+        [ 1; 50; 333; 2000 ])
+    [ ("IS n=3", is_at); ("alg1 n=2", alg1_at) ]
+
+(* ------------------------------------------------------------------ *)
+(* Branching from saved states = replay from the root                 *)
+(* ------------------------------------------------------------------ *)
+
+let differential name ~config ~n ~participants ~subject =
+  (* Every 97th counted run of an exhaustive search (the first, the
+     98th, ...), replayed from its trace against a fresh subject, must
+     give the report the explorer recorded, and fail exactly when the
+     explorer recorded it as a violation: restoring saved states (undo
+     trail, step values, event logs) is exact. *)
+  let sampled = ref [] in
+  let counted = ref 0 in
+  let classify (o : _ Explore.outcome) =
+    incr counted;
+    if (!counted - 1) mod 97 = 0 then sampled := o :: !sampled;
+    None
+  in
+  let stats =
+    Explore.explore ~config ~classify ~domains:1 ~n ~participants ~subject ()
+  in
+  check_bool (name ^ " exhaustive") true stats.Explore.exhausted;
+  check_bool (name ^ " sampled") true (!sampled <> []);
+  List.iter
+    (fun (o : _ Explore.outcome) ->
+      let report, verdict =
+        Replay.run_subject ~truncated:o.truncated ~subject:(subject ())
+          o.trace
+      in
+      let tr = Trace.to_string o.trace in
+      check_bool (name ^ " same report " ^ tr) true (report = o.report);
+      let recorded =
+        List.exists
+          (fun (v : _ Explore.outcome) -> Trace.equal v.trace o.trace)
+          stats.Explore.violations
+      in
+      check_bool (name ^ " same verdict " ^ tr) recorded
+        (Result.is_error verdict))
+    !sampled;
+  List.length stats.Explore.violations
+
+let test_branching_equals_replay () =
+  let wf2 = Agreement.of_adversary (Adversary.wait_free 2) in
+  let depth = Explore.config ~max_depth:64 () in
+  let p3 = Pset.full 3 and p2 = Pset.full 2 in
+  let alg1_config =
+    Explore.config ~max_crashes:1 ~crashable:p2 ~max_depth:64 ()
+  in
+  (* an event-level assertion whose verdict varies from run to run,
+     so the saved event logs are checked too *)
+  let before =
+    Assertion.Before
+      (Assertion.Decides (Pset.singleton 0), Assertion.Decides (Pset.singleton 1))
+  in
+  let v =
+    [
+      differential "IS n=3" ~config:depth ~n:3 ~participants:p3
+        ~subject:(Harness.is_subject ~n:3 ());
+      differential "IS n=3 before" ~config:depth ~n:3 ~participants:p3
+        ~subject:(Harness.is_subject ~assertion:before ~n:3 ());
+      differential "alg1 wait-free n=2" ~config:alg1_config ~n:2
+        ~participants:p2
+        ~subject:(Harness.alg1_subject ~alpha:wf2 ~participants:p2 ());
+      differential "alg1 footprint" ~config:alg1_config ~n:2 ~participants:p2
+        ~subject:
+          (Harness.alg1_subject
+             ~assertion:(Assertion.Frame (p2, Harness.alg1_object_names))
+             ~alpha:wf2 ~participants:p2 ());
+      differential "wsmin n=3" ~config:depth ~n:3 ~participants:p3
+        ~subject:(Harness.wsmin_subject ~n:3 ());
+      differential "wsmin n=3 agreement-1" ~config:depth ~n:3
+        ~participants:p3
+        ~subject:(Harness.wsmin_subject ~assertion:(Assertion.Agreement 1) ~n:3 ());
+    ]
+  in
+  Alcotest.(check (list bool))
+    "which searches record violations"
+    [ false; true; false; false; false; true ]
+    (List.map (fun k -> k > 0) v)
+
 let suite =
   [
     ("trace: round-trip", `Quick, test_trace_roundtrip);
@@ -521,4 +639,6 @@ let suite =
     ("parallel explore: IS counts identical at 1/2/4 domains", `Slow, test_explore_parallel_is_identical);
     ("parallel explore: Alg1 counts identical at 1/2/4 domains", `Slow, test_explore_parallel_alg1_identical);
     ("parallel explore: identical shrunk counterexample", `Slow, test_explore_parallel_counterexample);
+    ("parallel explore: budgeted runs identical at 1/2/4 domains", `Slow, test_explore_budget_identical);
+    ("explore: branching from saved states equals replay", `Slow, test_branching_equals_replay);
   ]

@@ -1,4 +1,4 @@
-(* Tests for the executable systems layer: the cooperative executor,
+(* Tests for the executable systems layer: the step-value executor,
    atomic-snapshot memory, immediate snapshot, IIS, Algorithm 1
    (Theorem 7), the affine-model runner and α-adaptive set consensus
    (Section 6). *)
@@ -32,9 +32,11 @@ let test_exec_sequential () =
   (* Under a sequential schedule, p0 writes before p1 snapshots. *)
   let mem = Memory.create 2 in
   let proc pid =
-    Memory.update mem ~pid (10 + pid);
-    let snap = Memory.snapshot mem in
-    Array.to_list snap |> List.filter_map Fun.id |> List.fold_left ( + ) 0
+    let open Proc in
+    let* () = Memory.update mem ~pid (10 + pid) in
+    let* snap = Memory.snapshot mem in
+    return
+      (Array.to_list snap |> List.filter_map Fun.id |> List.fold_left ( + ) 0)
   in
   let schedule = Schedule.sequential ~n:2 ~participants:(Pset.full 2) in
   let report = Exec.run ~schedule [| proc; proc |] in
@@ -46,9 +48,10 @@ let test_exec_crash () =
   (* p0 crashes after one step; p1 still decides. *)
   let mem = Memory.create 2 in
   let proc pid =
-    Memory.update mem ~pid pid;
-    Memory.update mem ~pid (100 + pid);
-    pid
+    let open Proc in
+    let* () = Memory.update mem ~pid pid in
+    let* () = Memory.update mem ~pid (100 + pid) in
+    return pid
   in
   let schedule =
     Schedule.random ~seed:1 ~n:2 ~participants:(Pset.full 2)
@@ -63,44 +66,96 @@ let test_exec_crash () =
 
 let test_exec_non_participant () =
   let schedule = Schedule.sequential ~n:3 ~participants:(ps [ 0; 2 ]) in
-  let report = Exec.run ~schedule [| Fun.id; Fun.id; Fun.id |] in
+  let report = Exec.run ~schedule (Array.make 3 Proc.return) in
   Alcotest.(check (list (pair int int)))
     "only participants decide" [ (0, 0); (2, 2) ] (Exec.decided report);
   check_bool "p1 never ran" true (report.Exec.outcomes.(1) = Exec.Running)
 
-let test_exec_unwinds_abandoned () =
-  (* The schedule stops after one step, leaving p0 suspended at its
-     first yield: [run] must still unwind it (finalizer runs once, its
-     stack is freed) and report it as [Running]. *)
-  let finalized = ref 0 in
-  let proc _ =
-    Fun.protect
-      ~finally:(fun () -> incr finalized)
-      (fun () ->
-        Exec.yield ();
-        Exec.yield ();
-        0)
+let test_exec_abandoned_running () =
+  (* The schedule stops after one step, leaving p0 suspended before its
+     first write: it reports [Running], the write never happened, and
+     the pending operation it was suspended before is the write. *)
+  let mem = Memory.create 1 in
+  let proc pid =
+    let open Proc in
+    let* () = Memory.update mem ~pid 1 in
+    let* () = Memory.update mem ~pid 2 in
+    return 0
   in
+  let seen = ref [] in
   let steps = ref 0 in
   let schedule =
     Schedule.controlled ~n:1 ~participants:(Pset.full 1)
-      ~next:(fun ~alive:_ ~pending:_ ->
+      ~next:(fun ~alive:_ ~pending ->
         incr steps;
+        seen := pending 0 :: !seen;
         if !steps = 1 then Some 0 else None)
       ~crash_now:(fun ~pid:_ ~steps_taken:_ -> false)
   in
   let report = Exec.run ~schedule [| proc |] in
-  check "finalizer ran once" 1 !finalized;
+  check "one step" 1 report.Exec.steps;
   check_bool "abandoned process is Running" true
-    (report.Exec.outcomes.(0) = Exec.Running)
+    (report.Exec.outcomes.(0) = Exec.Running);
+  Alcotest.(check (option int)) "write not performed" None (Memory.peek mem 0);
+  Alcotest.(check (list string)) "pending before each decision"
+    [ "start"; Format.asprintf "%a" Op.pp_pending (Op.Op { Op.obj = Memory.id mem; kind = Op.Write 0 }) ]
+    (List.rev_map (Format.asprintf "%a" Op.pp_pending) !seen)
 
-let test_yield_outside_fiber () =
-  (* yield is a no-op outside Exec.run, so protocols are also plain
-     functions. *)
-  Exec.yield ();
+let test_solo_outside_schedule () =
+  (* [Exec.solo] runs a process by itself, so protocols are also plain
+     sequential programs. *)
   let mem = Memory.create 1 in
-  Memory.update mem ~pid:0 42;
-  Alcotest.(check (option int)) "direct call" (Some 42) (Memory.peek mem 0)
+  let proc =
+    let open Proc in
+    let* () = Memory.update mem ~pid:0 42 in
+    let* v = Memory.get mem 0 in
+    return (Option.map succ v)
+  in
+  Alcotest.(check (option int)) "result" (Some 43) (Exec.solo proc);
+  Alcotest.(check (option int)) "memory" (Some 42) (Memory.peek mem 0)
+
+let test_exec_save_restore () =
+  (* A saved state can be restored any number of times: the step
+     values, outcomes, step counts and memory all go back, so every
+     continuation from it behaves as if run from scratch. *)
+  let mem = Memory.create 2 in
+  let proc pid =
+    let open Proc in
+    let* () = Memory.update mem ~pid (10 + pid) in
+    let* snap = Memory.snapshot mem in
+    let* () = Memory.update mem ~pid (20 + pid) in
+    return (Array.to_list snap)
+  in
+  let m = Exec.start ~n:2 ~participants:(Pset.full 2) [| proc; proc |] in
+  Exec.step m 0;
+  Exec.step m 0;
+  let saved = Exec.save m in
+  let finish order =
+    List.iter (Exec.step m) order;
+    let r = Exec.report m in
+    let cells = (Memory.peek mem 0, Memory.peek mem 1) in
+    Exec.restore m saved;
+    (Exec.decided r, r.Exec.steps, cells)
+  in
+  let a = finish [ 1; 1; 0; 0; 1; 1 ] in
+  let b = finish [ 0; 0; 1; 1; 1; 1 ] in
+  let a' = finish [ 1; 1; 0; 0; 1; 1 ] in
+  check_bool "same continuation, same run" true (a = a');
+  let decided, steps, _ = b in
+  check "steps" 8 steps;
+  Alcotest.(check (list (pair int (list (option int)))))
+    "p0 alone, then p1"
+    [ (0, [ Some 10; None ]); (1, [ Some 20; Some 11 ]) ]
+    decided;
+  let decided, _, _ = a in
+  Alcotest.(check (list (pair int (list (option int)))))
+    "p0 sees p1's first write"
+    [ (0, [ Some 10; Some 11 ]); (1, [ Some 20; Some 11 ]) ]
+    decided;
+  Alcotest.(check (option int)) "memory restored" (Some 10) (Memory.peek mem 0);
+  Alcotest.(check (option int)) "memory restored" None (Memory.peek mem 1);
+  check_bool "pending restored" true
+    (Exec.pending m 0 = Op.Op { Op.obj = Memory.id mem; kind = Op.Snapshot })
 
 (* ------------------------------------------------------------------ *)
 (* Schedules                                                          *)
@@ -720,7 +775,7 @@ let suite =
     ("exec sequential", `Quick, test_exec_sequential);
     ("exec crash", `Quick, test_exec_crash);
     ("exec non-participant", `Quick, test_exec_non_participant);
-    ("yield outside fiber", `Quick, test_yield_outside_fiber);
+    ("solo run outside a schedule", `Quick, test_solo_outside_schedule);
     ("schedule: round robin", `Quick, test_schedule_round_robin);
     ("schedule: sequential", `Quick, test_schedule_sequential);
     ("schedule: crash bookkeeping", `Quick, test_schedule_crash_bookkeeping);
@@ -750,5 +805,6 @@ let suite =
     qt prop_is_random_schedules_with_crashes;
     qt prop_iis_lands_in_chr2;
     qt prop_iis_three_rounds_valid;
-    ("exec unwinds abandoned processes", `Quick, test_exec_unwinds_abandoned);
+    ("exec abandoned process stays Running", `Quick, test_exec_abandoned_running);
+    ("exec save and restore", `Quick, test_exec_save_restore);
   ]

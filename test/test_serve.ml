@@ -809,6 +809,38 @@ let test_concurrent_no_interleave () =
 
 (* ------------------------------------------------------------------ *)
 
+(* The one-shot commands and the query service resolve an adversary
+   through the same function: a bad preset is the same typed
+   Precondition, printed the same way with the same exit code, whether
+   [fact analyze] or [fact ra] reads it. *)
+let test_cli_adversary_resolver () =
+  let run args =
+    let err = Filename.temp_file "fact-cli" ".err" in
+    let code =
+      Sys.command
+        (Filename.quote_command "../bin/fact_cli.exe" args
+           ~stdout:Filename.null ~stderr:err)
+    in
+    let msg = In_channel.with_open_text err In_channel.input_all in
+    Sys.remove err;
+    (code, String.trim msg)
+  in
+  let bad = [ "-n"; "3"; "--preset"; "t-res:x" ] in
+  let a_code, a_msg = run ("analyze" :: bad) in
+  let r_code, r_msg = run ("ra" :: bad) in
+  check "analyze exit" 2 a_code;
+  check "ra exit" 2 r_code;
+  check_string "same message" r_msg a_msg;
+  let expected = "Query.eval: bad t-res parameter" in
+  let rec contains i =
+    i + String.length expected <= String.length a_msg
+    && (String.sub a_msg i (String.length expected) = expected
+       || contains (i + 1))
+  in
+  check_bool "typed precondition" true (contains 0);
+  let ok_code, _ = run [ "analyze"; "-n"; "3"; "--preset"; "k-of:1" ] in
+  check "good preset" 0 ok_code
+
 let suite =
   [
     Alcotest.test_case "sexp roundtrip" `Quick test_sexp_roundtrip;
@@ -848,4 +880,6 @@ let suite =
       test_wire_writer_byte_identity;
     Alcotest.test_case "concurrent connections no interleave" `Quick
       test_concurrent_no_interleave;
+    Alcotest.test_case "cli: one adversary resolver" `Quick
+      test_cli_adversary_resolver;
   ]
