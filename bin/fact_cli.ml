@@ -12,8 +12,6 @@
      census    classify every adversary over n processes
      serve     long-lived query server (dedup, batching, warm store)
      client    query a running server (with optional retry/backoff)
-     cluster   supervised sharded+replicated worker cluster front tier
-     loadgen   concurrent query burst against a server or cluster
      ra        one-shot evaluation of the ra serve endpoint
      campaign  run a declarative grid sweep (content-addressed results)
      report    aggregate a results directory; CI regression gate
@@ -30,7 +28,8 @@
      3  deadline exceeded (--timeout)
      4  cancelled
      5  worker failure (parallel fan-out)
-     6  resource limit *)
+     6  resource limit
+     7  unavailable: a server could not be bound or reached (retryable) *)
 
 open Cmdliner
 open Fact_core.Fact
@@ -334,6 +333,7 @@ let explore protocol max_depth max_runs max_crashes skip_wait assert_spec
       | Some "split-snapshot" -> Some Harness.Split_snapshot
       | Some m -> bad_mutant m
     in
+    let fubini = Opart.fubini n in
     let stats, parts =
       Harness.explore_immediate_snapshot ~max_depth ~max_runs ?mutation
         ?assertion ~stop_on_violation ?resume ~checkpoint_every ?on_checkpoint
@@ -341,7 +341,7 @@ let explore protocol max_depth max_runs max_crashes skip_wait assert_spec
     in
     pf "one-shot IS, n=%d: %a@." n Explore.pp_stats stats;
     pf "distinct ordered partitions: %d (fubini %d = %d)@."
-      (List.length parts) n (Opart.fubini n);
+      (List.length parts) n fubini;
     report_violations
       ~subject:(Harness.is_subject ?mutation ?assertion ~n ())
       stats.Explore.violations
@@ -553,7 +553,7 @@ let assert_cmd =
 
 (* ----------------------------- chaos ------------------------------ *)
 
-let chaos_run seed max_faults serve_faults cluster_faults =
+let chaos_run seed max_faults serve_faults =
   let report stats =
     pf "%a@." Chaos.pp_stats stats;
     stats.Chaos.violations
@@ -564,11 +564,7 @@ let chaos_run seed max_faults serve_faults cluster_faults =
     optional serve_faults (fun max_faults ->
         Serve_chaos.run ~seed ~max_faults ())
   in
-  let cluster =
-    optional cluster_faults (fun max_faults ->
-        Serve_chaos.run_cluster ~seed ~max_faults ())
-  in
-  match pipeline @ serve @ cluster with
+  match pipeline @ serve with
   | [] -> pf "all invariants held@."
   | vs ->
     List.iter (fun m -> pf "violation: %s@." m) vs;
@@ -589,28 +585,15 @@ let chaos_cmd =
              faults (client disconnects, corrupted store entries, forced \
              evictions mid-batch, protocol garbage).")
   in
-  let cluster_faults_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "cluster-faults" ] ~docv:"N"
-          ~doc:
-            "Also boot a throwaway sharded cluster (real worker \
-             processes) and inject N faults: kill -9 mid-request, \
-             corrupted replica stores, SIGSTOP heartbeat stalls, \
-             whole-shard blackouts. Every query must still answer with \
-             one-shot-identical bytes.")
-  in
   Cmd.v
     (Cmd.info "chaos"
        ~doc:
          "Inject worker crashes, cancellations and cache evictions into \
           the R_A pipeline and audit the resilience invariants.")
     Term.(
-      const (fun timeout seed max_faults serve_faults cluster_faults ->
-          guarded timeout (fun () ->
-              chaos_run seed max_faults serve_faults cluster_faults))
-      $ timeout_arg $ seed_arg $ max_faults_arg $ serve_faults_arg
-      $ cluster_faults_arg)
+      const (fun timeout seed max_faults serve_faults ->
+          guarded timeout (fun () -> chaos_run seed max_faults serve_faults))
+      $ timeout_arg $ seed_arg $ max_faults_arg $ serve_faults_arg)
 
 (* ------------------------- serve / client ------------------------- *)
 
@@ -788,176 +771,6 @@ let client_cmd =
       $ n_arg $ m_serve_arg $ preset_arg $ live_arg $ protocol_serve_arg
       $ max_runs_serve_arg)
 
-(* ------------------------- cluster / loadgen ---------------------- *)
-
-let cluster_run addr_s shards replicas dir max_frame restart_budget
-    attempt_timeout =
-  let addr = addr_of addr_s in
-  let dir =
-    match dir with
-    | Some d -> d
-    | None ->
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "fact-cluster-%d" (Unix.getpid ()))
-  in
-  let cfg =
-    Cluster.config ~dir ~shards ~replicas ~restart_budget
-      ~attempt_timeout_s:attempt_timeout ()
-  in
-  let cluster = Cluster.start cfg in
-  let listener =
-    Listener.start ~max_frame ~handler:(Cluster.handler cluster) addr
-  in
-  for shard = 0 to shards - 1 do
-    for replica = 0 to replicas - 1 do
-      pf "fact: worker shard=%d replica=%d pid=%d sock=%s@." shard replica
-        (Option.value (Cluster.worker_pid cluster ~shard ~replica) ~default:0)
-        (Cluster.worker_sock cluster ~shard ~replica)
-    done
-  done;
-  pf "fact: cluster serving on %s (%d shards x %d replicas, store root %s)@."
-    (Listener.addr_to_string addr) shards replicas dir;
-  let stop_in_background _ =
-    ignore (Thread.create (fun () -> Listener.stop listener) ())
-  in
-  (try
-     Sys.set_signal Sys.sigint (Sys.Signal_handle stop_in_background);
-     Sys.set_signal Sys.sigterm (Sys.Signal_handle stop_in_background)
-   with Invalid_argument _ | Sys_error _ -> ());
-  Listener.wait listener;
-  Listener.stop listener;
-  Cluster.stop cluster;
-  pf "fact: cluster stopped@."
-
-let cluster_cmd =
-  let shards_arg =
-    Arg.(value & opt int 3 & info [ "shards" ] ~doc:"Number of shards.")
-  in
-  let replicas_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "replicas" ] ~doc:"Worker processes per shard.")
-  in
-  let dir_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "dir" ] ~docv:"DIR"
-          ~doc:
-            "Root directory for worker stores and sockets (default: a \
-             pid-stamped directory under the system temp dir).")
-  in
-  let max_frame_arg =
-    Arg.(
-      value
-      & opt int Wire.default_max_frame
-      & info [ "max-frame" ] ~docv:"BYTES"
-          ~doc:"Largest accepted request frame.")
-  in
-  let restart_budget_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "restart-budget" ] ~docv:"N"
-          ~doc:
-            "Consecutive crash-loop restarts before a worker is fused \
-             (left down and routed around).")
-  in
-  let attempt_timeout_arg =
-    Arg.(
-      value & opt float 10.
-      & info [ "attempt-timeout" ] ~docv:"SECS"
-          ~doc:
-            "Socket send/receive bound per replica attempt; a wedged \
-             worker costs at most this before failover.")
-  in
-  Cmd.v
-    (Cmd.info "cluster"
-       ~doc:
-         "Serve queries from a supervised, sharded, replicated worker \
-          cluster: content digests are consistent-hashed across shards, \
-          each shard runs R replicated fact-serve processes, crashed \
-          workers are restarted with backoff, replicas are kept \
-          converged by write-through and read-repair, and with a whole \
-          shard down the front tier degrades to local evaluation \
-          instead of failing.")
-    Term.(
-      const (fun addr shards replicas dir max_frame budget attempt ->
-          guarded None (fun () ->
-              cluster_run addr shards replicas dir max_frame budget attempt))
-      $ addr_arg $ shards_arg $ replicas_arg $ dir_arg $ max_frame_arg
-      $ restart_budget_arg $ attempt_timeout_arg)
-
-(* a fixed mix of cheap queries with distinct digests, so a burst
-   spreads over every shard of a cluster *)
-let loadgen_mix =
-  [
-    Query.Ra { n = 2; adv = Query.Preset "wait-free" };
-    Query.Chr { n = 2; m = 1 };
-    Query.Chr { n = 3; m = 1 };
-    Query.Setcon { n = 3; adv = Query.Preset "wait-free" };
-    Query.Setcon { n = 3; adv = Query.Preset "t-res:1" };
-    Query.Fairness { n = 2; adv = Query.Preset "wait-free" };
-    Query.Fairness { n = 3; adv = Query.Preset "t-res:1" };
-    Query.Critical { n = 2; adv = Query.Preset "wait-free" };
-  ]
-
-let loadgen_run addr_s requests threads retries backoff_ms deadline =
-  let addr = addr_of addr_s in
-  let backoff = Backoff.make ~base_ms:backoff_ms () in
-  let report =
-    Loadgen.run ~threads ~requests ~retries ~backoff ?deadline_s:deadline
-      ~queries:loadgen_mix addr
-  in
-  print_endline (Loadgen.report_to_string report);
-  if report.Loadgen.failed > 0 then
-    Fact_error.raise_error
-      (Fact_error.Unavailable
-         {
-           what =
-             Printf.sprintf "loadgen: %d of %d requests failed"
-               report.Loadgen.failed report.Loadgen.sent;
-         })
-
-let loadgen_cmd =
-  let requests_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "requests" ] ~docv:"N" ~doc:"Total requests to send.")
-  in
-  let threads_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "threads" ] ~docv:"N" ~doc:"Concurrent client threads.")
-  in
-  let loadgen_retries_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "retries" ] ~docv:"N"
-          ~doc:"Retry budget per request (see fact client --retries).")
-  in
-  let deadline_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline" ] ~docv:"SECS"
-          ~doc:"Per-request server-side deadline.")
-  in
-  Cmd.v
-    (Cmd.info "loadgen"
-       ~doc:
-         "Fire a concurrent burst of queries (a fixed mix of cheap \
-          endpoints with distinct digests) at a running fact server or \
-          cluster and report per-source counts and a latency histogram. \
-          Exits 0 only if every request succeeded; a request whose \
-          retry budget is exhausted makes the exit code 7.")
-    Term.(
-      const (fun addr requests threads retries backoff_ms deadline ->
-          guarded None (fun () ->
-              loadgen_run addr requests threads retries backoff_ms deadline))
-      $ addr_arg $ requests_arg $ threads_arg $ loadgen_retries_arg
-      $ backoff_ms_arg $ deadline_arg)
-
 let ra_cmd =
   Cmd.v
     (Cmd.info "ra"
@@ -986,15 +799,15 @@ let campaign_run grid_file dir backend addr_s retries backoff_ms timeout_s =
   let backend =
     match backend with
     | "local" -> Campaign_runner.Local
-    | "cluster" ->
-      Campaign_runner.Cluster
+    | "serve" ->
+      Campaign_runner.Serve
         {
           addr = addr_of addr_s;
           retries;
           backoff = Some (Backoff.make ~base_ms:backoff_ms ());
           timeout_s;
         }
-    | b -> failwith (Printf.sprintf "unknown backend %S (local | cluster)" b)
+    | b -> failwith (Printf.sprintf "unknown backend %S (local | serve)" b)
   in
   let p =
     Campaign_runner.run ~log:print_endline ~backend ~dir spec
@@ -1022,14 +835,14 @@ let campaign_cmd =
       & info [ "backend" ] ~docv:"NAME"
           ~doc:
             "Where cells execute: local (the in-process work-stealing \
-             pool) or cluster (a running fact serve / fact cluster at \
-             --addr). Both produce byte-identical cells/ directories.")
+             pool) or serve (a running fact serve at --addr). Both \
+             produce byte-identical cells/ directories.")
   in
   let cell_timeout_arg =
     Arg.(
       value & opt float 30.
       & info [ "attempt-timeout" ] ~docv:"SECS"
-          ~doc:"Socket send/receive bound per cluster request.")
+          ~doc:"Socket send/receive bound per served request.")
   in
   Cmd.v
     (Cmd.info "campaign"
@@ -1297,7 +1110,7 @@ let () =
          chaos-invariant failure was found; 2 on a precondition or usage \
          error; 3 when a --timeout deadline was exceeded; 4 when \
          cancelled; 5 on a parallel worker failure; 6 on a resource \
-         limit; 7 when a server or shard stayed unavailable (bind \
+         limit; 7 when a server stayed unavailable (bind \
          failure, unreachable server, retry budget exhausted) — the \
          retryable class: back off and try again.";
     ]
@@ -1313,5 +1126,5 @@ let () =
        (Cmd.group info
           [ analyze_cmd; affine_cmd; run_cmd; solve_cmd; chr_cmd;
             explore_cmd; assert_cmd; chaos_cmd; census_cmd; serve_cmd;
-            client_cmd; cluster_cmd; loadgen_cmd; ra_cmd; campaign_cmd;
+            client_cmd; ra_cmd; campaign_cmd;
             report_cmd; bench_cmd ]))

@@ -9,8 +9,8 @@
     absolute slack, and report every violated cell.
 
     Wall-time percentiles come from the same {!Fact_serve.Histogram}
-    accessor the scheduler's stats and [fact loadgen] print, so "p95"
-    means the same thing everywhere. *)
+    accessor the scheduler's stats print, so "p95" means the same thing
+    everywhere. *)
 
 type row = { record : Results.record; timing : Results.timing option }
 

@@ -33,7 +33,7 @@ type record = {
 }
 
 type timing = {
-  backend : string;  (** ["local"] or ["cluster"] *)
+  backend : string;  (** ["local"] or ["serve"] *)
   source : string;  (** [computed | memory | disk | -] *)
   wall_ms : float;
   cache_hits : int;

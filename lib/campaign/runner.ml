@@ -10,7 +10,7 @@ module Wire = Fact_serve.Wire
 
 type backend =
   | Local
-  | Cluster of {
+  | Serve of {
       addr : Listener.addr;
       retries : int;
       backoff : Backoff.policy option;
@@ -25,7 +25,7 @@ type progress = {
   failed : int;
 }
 
-let backend_name = function Local -> "local" | Cluster _ -> "cluster"
+let backend_name = function Local -> "local" | Serve _ -> "serve"
 
 let cache_totals () =
   List.fold_left
@@ -68,7 +68,7 @@ let run_cell_local cell =
     exec_domains = cell.Grid.domains;
   }
 
-let run_cell_cluster ~addr ~retries ~backoff ~timeout_s cell =
+let run_cell_serve ~addr ~retries ~backoff ~timeout_s cell =
   let q = Grid.query cell in
   let t0 = Unix.gettimeofday () in
   let result =
@@ -171,11 +171,6 @@ let run_local ~log pending =
                  Parallel.reraise captured))
         (group_by_env pending))
 
-(* ----------------------------- cluster ----------------------------- *)
-
-let run_cluster ~addr ~retries ~backoff ~timeout_s pending =
-  List.map (run_cell_cluster ~addr ~retries ~backoff ~timeout_s) pending
-
 (* ------------------------------- run ------------------------------- *)
 
 let run ?(log = fun _ -> ()) ~backend ~dir spec =
@@ -193,8 +188,8 @@ let run ?(log = fun _ -> ()) ~backend ~dir spec =
   let executed =
     match backend with
     | Local -> run_local ~log pending
-    | Cluster { addr; retries; backoff; timeout_s } ->
-      run_cluster ~addr ~retries ~backoff ~timeout_s pending
+    | Serve { addr; retries; backoff; timeout_s } ->
+      List.map (run_cell_serve ~addr ~retries ~backoff ~timeout_s) pending
   in
   let ok, failed =
     List.fold_left

@@ -11,11 +11,10 @@
       applies its settings process-wide, runs its cells, and the
       previous settings are restored afterwards. Per-cell deadlines
       ride a {!Fact_resilience.Cancel} token around the evaluation.
-    - {!Cluster}: each cell becomes one
+    - {!Serve}: each cell becomes one
       {!Fact_serve.Client.query_with_retry} against a running [fact
-      serve] or [fact cluster] front tier (same wire protocol); the
-      cell deadline travels with the request and is enforced
-      server-side.
+      serve]; the cell deadline travels with the request and is
+      enforced server-side.
 
     {b Resume.} A cell whose valid [.result] already exists is
     skipped; a corrupt one is quarantined and recomputed. Failed
@@ -30,7 +29,7 @@
 
 type backend =
   | Local
-  | Cluster of {
+  | Serve of {
       addr : Fact_serve.Listener.addr;
       retries : int;
       backoff : Fact_resilience.Backoff.policy option;

@@ -93,6 +93,18 @@ let footprint t =
   in
   go t
 
+(* Only [before] reads the order of two events; every other operator
+   reads a set of events or the final report. *)
+let rec ordered = function
+  | Before (a, b) -> Pset.union (atom_procs a) (atom_procs b)
+  | Not a -> ordered a
+  | All l | Any l ->
+    List.fold_left (fun acc a -> Pset.union acc (ordered a)) Pset.empty l
+  | Implies (a, b) -> Pset.union (ordered a) (ordered b)
+  | Const _ | Always _ | Eventually _ | Eventually_decides _ | Frame _
+  | Agreement _ | Validity | Named _ ->
+    Pset.empty
+
 (* ------------------------------------------------------------------ *)
 (* Printing (canonical s-expressions).                                *)
 (* ------------------------------------------------------------------ *)
@@ -443,4 +455,4 @@ let subject ~participants ~make t () =
         v_events = Array.of_list (List.rev events);
       }
   in
-  { Subject.procs; observed; check }
+  { Subject.procs; observed; ordered = ordered t; check }

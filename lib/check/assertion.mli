@@ -39,7 +39,12 @@
     Assertions therefore compose across disjoint footprints without
     re-exploring: a conjunction's verdict on the explored quotient
     space equals its verdict on all interleavings. The property-based
-    tests check this reordering-invariance against {!Op} metadata. *)
+    tests check this reordering-invariance against {!Op} metadata.
+
+    Inside the footprint, only [before] reads the relative order of
+    two events; {!ordered} names the processes it compares, and the
+    explorer never treats two of their events as commuting. A {!Named}
+    predicate must not depend on the order of commuting events. *)
 
 open Fact_topology
 open Fact_runtime
@@ -117,6 +122,13 @@ val footprint : t -> Pset.t option
     everything). Verdicts are invariant under reorderings of
     independent events when at least one of the two is outside the
     footprint — see the module preamble. *)
+
+val ordered : t -> Pset.t
+(** The processes named in the atoms of [before] subterms: the
+    assertion may read the relative order of their events, so
+    {!subject} marks them [ordered] and the explorer explores both
+    orders of any two of them. Empty for an assertion without
+    [before]. *)
 
 (** {1 Evaluation} *)
 

@@ -1,7 +1,7 @@
 (** Seeded fault injection: one driver, one stats schema.
 
     A {e tier} is a table of fault kinds over an environment (the
-    [R_A] pipeline here, a live listener or cluster in
+    [R_A] pipeline here, a live listener in
     [Fact_serve.Serve_chaos]). {!drive} seeds
     [Random.State.make [| seed; salt |]], draws each fault uniformly
     from the table, counts it under its kind and runs it; the fault
@@ -43,7 +43,7 @@
     A healthy tree reports [violations = []]. *)
 
 type stats = {
-  tier : string;              (** [pipeline], [listener] or [cluster] *)
+  tier : string;              (** [pipeline] or [listener] *)
   injected : int;             (** total faults injected *)
   faults : (string * int) list;    (** injections per kind, table order *)
   outcomes : (string * int) list;  (** tier-specific outcome counters *)

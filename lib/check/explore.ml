@@ -118,14 +118,18 @@ type 'r node = {
    to filter sleep sets through a fired transition and to justify not
    exploring both orders. Crash(p) commutes with any decision of
    another process except another crash (two crashes compete for the
-   same budget, so firing one can disable the other). *)
-let independent node d1 d2 =
+   same budget, so firing one can disable the other). Decisions of two
+   distinct processes of [ordered] never commute: the subject's verdict
+   reads their relative order ({!Assertion.ordered}). *)
+let independent ~ordered node d1 d2 =
   match (d1, d2) with
   | Trace.Step p, Trace.Step q ->
     p <> q
+    && not (Pset.mem p ordered && Pset.mem q ordered)
     && Op.commute (Exec.state_pending node.state p)
          (Exec.state_pending node.state q)
-  | Trace.Crash p, Trace.Step q | Trace.Step q, Trace.Crash p -> p <> q
+  | Trace.Crash p, Trace.Step q | Trace.Step q, Trace.Crash p ->
+    p <> q && not (Pset.mem p ordered && Pset.mem q ordered)
   | Trace.Crash _, Trace.Crash _ -> false
 
 (* Raised by a subtree task's per-execution hook when its results can
@@ -201,7 +205,7 @@ let explore_core ~cfg ~stop_on_violation ~classify ~base ~forced ~floor
       | None -> []
       | Some par ->
         List.filter
-          (fun z -> independent par z par.chosen)
+          (fun z -> independent ~ordered:subj.Subject.ordered par z par.chosen)
           (par.sleep0 @ par.done_)
     in
     let choice =

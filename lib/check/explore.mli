@@ -27,6 +27,9 @@
       -equivalent to already-explored ones — and counted as [pruned].
       Crash decisions commute with steps of other processes, which
       collapses the many equivalent placements of a crash point.
+      Decisions of two distinct processes of the subject's [ordered]
+      set (an assertion that reads their order, see
+      {!Assertion.ordered}) never commute.
     - {b budgets}: [max_depth] bounds the length of a single run
       (protocols with wait-loops have unboundedly long fair runs;
       deeper runs are cut and counted as [truncated], with the

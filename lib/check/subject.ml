@@ -8,6 +8,7 @@ type event =
 type 'r t = {
   procs : (int -> 'r Proc.t) array;
   observed : Pset.t;
+  ordered : Pset.t;
   check :
     'r Exec.report -> events:event list -> truncated:bool ->
     (unit, string) result;
@@ -17,6 +18,7 @@ let of_procs ~prop procs =
   {
     procs;
     observed = Pset.empty;
+    ordered = Pset.empty;
     check =
       (fun report ~events:_ ~truncated:_ ->
         if prop report then Ok () else Error "property violated");

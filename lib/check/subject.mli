@@ -29,6 +29,10 @@ type 'r t = {
   procs : (int -> 'r Proc.t) array;  (** fresh processes, one instance *)
   observed : Pset.t;
       (** the processes whose events [check] reads *)
+  ordered : Pset.t;
+      (** the processes whose relative event order [check] reads: the
+          explorer treats steps (and crashes) of two distinct processes
+          of this set as dependent, even when their operations commute *)
   check :
     'r Exec.report -> events:event list -> truncated:bool ->
     (unit, string) result;
@@ -39,7 +43,7 @@ type 'r t = {
 
 val of_procs : prop:('r Exec.report -> bool) -> (int -> 'r Proc.t) array -> 'r t
 (** Wrap plain processes and a boolean report property into a subject
-    with no observers. *)
+    with no observers ([observed] and [ordered] empty). *)
 
 val record : 'r t -> event -> event list -> event list
 (** [record s e events] adds [e] to [events] when its process is

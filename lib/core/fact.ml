@@ -67,11 +67,6 @@ module Client = Fact_serve.Client
 module Serve_chaos = Fact_serve.Serve_chaos
 module Serve_digest = Fact_serve.Digest
 module Backoff = Fact_resilience.Backoff
-module Ring = Fact_serve.Ring
-module Supervisor = Fact_serve.Supervisor
-module Health = Fact_serve.Health
-module Cluster = Fact_serve.Cluster
-module Loadgen = Fact_serve.Loadgen
 module Histogram = Fact_serve.Histogram
 module Grid = Fact_campaign.Grid
 module Campaign_results = Fact_campaign.Results

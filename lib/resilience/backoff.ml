@@ -1,7 +1,6 @@
 type policy = { base_ms : float; multiplier : float; max_ms : float }
 
 let default = { base_ms = 50.; multiplier = 2.; max_ms = 2_000. }
-let supervisor = { base_ms = 100.; multiplier = 2.; max_ms = 5_000. }
 
 let make ?(base_ms = 50.) ?(multiplier = 2.) ?(max_ms = 2_000.) () =
   if base_ms < 0. then
@@ -23,16 +22,3 @@ let schedule p ~attempts =
   List.init (max 0 attempts) (fun attempt -> delay_ms p ~attempt)
 
 let sleep p ~attempt = Thread.delay (delay_ms p ~attempt /. 1000.)
-
-let sleep_interruptible p ~attempt ~stop =
-  let deadline = Unix.gettimeofday () +. (delay_ms p ~attempt /. 1000.) in
-  let rec wait () =
-    if stop () then ()
-    else
-      let left = deadline -. Unix.gettimeofday () in
-      if left > 0. then begin
-        Thread.delay (Float.min 0.025 left);
-        wait ()
-      end
-  in
-  wait ()

@@ -3,8 +3,8 @@
     A policy describes how long to wait before retry attempt [k]:
     [base_ms * multiplier^k], capped at [max_ms]. There is no jitter —
     the repository's bit-identical-results discipline extends to
-    retry schedules, so a supervisor restarting a crashed shard and a
-    client re-dialling a server both produce reproducible timelines.
+    retry schedules, so a client re-dialling a server produces a
+    reproducible timeline.
 
     The policy is plain data; {!delay_ms} is a pure function of
     [(policy, attempt)], so tests can assert whole schedules without
@@ -17,10 +17,7 @@ type policy = {
 }
 
 val default : policy
-(** 50 ms base, doubling, capped at 2 s — the client/failover default. *)
-
-val supervisor : policy
-(** 100 ms base, doubling, capped at 5 s — the shard-restart default. *)
+(** 50 ms base, doubling, capped at 2 s — the client default. *)
 
 val make : ?base_ms:float -> ?multiplier:float -> ?max_ms:float -> unit -> policy
 (** Raises a typed [Precondition] {!Fact_error} if [base_ms < 0],
@@ -36,8 +33,3 @@ val schedule : policy -> attempts:int -> float list
 
 val sleep : policy -> attempt:int -> unit
 (** [Thread.delay (delay_ms policy ~attempt / 1000.)]. *)
-
-val sleep_interruptible : policy -> attempt:int -> stop:(unit -> bool) -> unit
-(** Like {!sleep}, but wakes up every 25 ms to poll [stop]; returns
-    early once it holds. Supervisors use this so a cluster shutdown
-    never waits out a pending restart delay. *)

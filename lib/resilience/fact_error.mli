@@ -21,10 +21,10 @@
       hard cap).
     - [Unavailable]: a service dependency is (possibly transiently)
       unreachable — a socket that cannot be bound because the previous
-      owner's address lingers, a server that refuses connections, a
-      shard whose restart budget is exhausted. Unlike [Precondition]
-      this is {e retryable}: supervisors and clients respond with
-      {!Backoff} and failover, not by giving up. *)
+      owner's address lingers, a server that refuses connections or
+      drops one mid-exchange. Unlike [Precondition] this is
+      {e retryable}: clients respond with {!Backoff} and a fresh dial,
+      not by giving up. *)
 
 type t =
   | Precondition of { fn : string; what : string }

@@ -34,8 +34,8 @@ let connect ?timeout_s addr =
   let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
   (* a bounded socket: a peer that accepted the connection but stopped
      responding (SIGSTOP, wedged) trips EAGAIN instead of hanging the
-     caller forever; the error is typed Unavailable so failover logic
-     moves on to a replica *)
+     caller forever; the error is typed Unavailable, so a retry dials
+     afresh *)
   (match timeout_s with
   | None -> ()
   | Some s when s > 0. -> (
@@ -86,12 +86,6 @@ let query t ?deadline_s q =
   | Wire.Payload { payload; source } -> (payload, source)
   | Wire.Refused e -> Fact_error.raise_error e
   | _ -> fail "unexpected reply to query"
-
-let put t q ~payload =
-  match roundtrip t (Wire.Put { query = q; payload }) with
-  | Wire.Stored { already } -> already
-  | Wire.Refused e -> Fact_error.raise_error e
-  | _ -> fail "unexpected reply to put"
 
 let stats t =
   match roundtrip t Wire.Stats with

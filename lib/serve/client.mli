@@ -33,11 +33,6 @@ val query :
 (** Payload text plus where the server found it. Raises the server's
     typed error on [Refused]. *)
 
-val put : t -> Query.t -> payload:string -> bool
-(** Replication write-through: ask the server to persist an
-    already-computed result. Returns [true] if the server already held
-    it. *)
-
 val stats : t -> string
 val ping : t -> unit
 val shutdown : t -> unit

@@ -2,14 +2,14 @@
 
     Doubling millisecond buckets: bucket [i] counts observations in
     [(2^(i-1), 2^i]] ms (bucket 0: <= 1 ms), the last bucket is the
-    overflow. {!Scheduler} keeps one per endpoint, {!Loadgen} one per
-    burst, and the campaign report ([fact report]) folds per-cell wall
-    times into one — all three answer percentile questions through the
-    same {!percentile} accessor, so "p95" means the same thing in
-    server stats, loadgen output and CI gates.
+    overflow. {!Scheduler} keeps one per endpoint and the campaign
+    report ([fact report]) folds per-cell wall times into one — both
+    answer percentile questions through the same {!percentile}
+    accessor, so "p95" means the same thing in server stats and CI
+    gates.
 
     Not thread-safe: callers serialize access (the scheduler holds its
-    lock, loadgen its accumulator mutex). *)
+    lock). *)
 
 type t
 
@@ -48,7 +48,7 @@ val percentile : t -> float -> float
 
 val percentiles_line : t -> string
 (** ["p50<=1ms p95<=4ms p99<=8ms"] via {!percentile} — the format
-    loadgen prints, server stats include and CI greps. *)
+    server stats include and CI greps. *)
 
 val pp_counts_line : t -> string
 (** [" <=1:3 <=4:2 >262144:1"] — nonzero buckets only, bounds in ms. *)

@@ -79,8 +79,8 @@ let refuse_parse msg =
   Wire.Refused (Fact_error.Precondition { fn = "Wire.request_of_sexp"; what = msg })
 
 (* [Shutdown] is a lifecycle request, owned by the listener itself;
-   every other request goes to the pluggable handler (a scheduler for
-   one worker, a {!Cluster} front tier for a sharded deployment). *)
+   every other request goes to the pluggable handler (the scheduler in
+   [fact serve], a fake in tests). *)
 let handle_request t = function
   | Wire.Shutdown -> Wire.Shutting_down
   | req -> (
@@ -160,9 +160,9 @@ let bind_listen addr =
      Unix.listen sock 64
    with Unix.Unix_error (err, _, _) ->
      (try Unix.close sock with Unix.Unix_error _ -> ());
-     (* typed and retryable: a supervisor restarting a just-crashed
-        shard must see exit code 7 and back off, not die on a usage
-        error, when the old owner's address lingers (EADDRINUSE) *)
+     (* typed and retryable: a server restarted right after a crash
+        must see exit code 7 and back off, not die on a usage error,
+        when the old owner's address lingers (EADDRINUSE) *)
      Fact_error.unavailable
        (Printf.sprintf "Listener.start: cannot bind %s: %s"
           (addr_to_string addr) (Unix.error_message err)));
@@ -196,11 +196,6 @@ let scheduler_handler scheduler = function
   | Wire.Query { query; deadline_s } -> (
     match Scheduler.submit scheduler ?deadline_s query with
     | Ok { Scheduler.payload; source } -> Wire.Payload { payload; source }
-    | Error e -> Wire.Refused e)
-  | Wire.Put { query; payload } -> (
-    match Scheduler.inject scheduler query ~payload with
-    | Ok `Stored -> Wire.Stored { already = false }
-    | Ok `Already -> Wire.Stored { already = true }
     | Error e -> Wire.Refused e)
   | Wire.Stats -> Wire.Stats_payload (Scheduler.stats_text scheduler)
   | Wire.Ping -> Wire.Pong

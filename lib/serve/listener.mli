@@ -1,11 +1,10 @@
-(** The connection front-end of [fact serve] and [fact cluster].
+(** The connection front-end of [fact serve].
 
     Accepts clients on a Unix-domain or TCP socket and speaks the
     {!Wire} protocol: each connection is served by its own thread,
     which reads length-prefixed request frames, dispatches to a
-    pluggable request handler — a shared {!Scheduler} for a single
-    worker ({!start_scheduler}), a {!Cluster} front tier for a sharded
-    deployment — and writes one response frame per request.
+    pluggable request handler — the shared {!Scheduler} in [fact serve]
+    ({!start_scheduler}) — and writes one response frame per request.
 
     {b Fault policy.} A well-framed but malformed request (bad sexp,
     wrong version, unknown endpoint) gets a typed [Refused
@@ -39,13 +38,13 @@ val start :
     [Refused] response. [on_stop] runs exactly once, at the end of the
     first completed {!stop}. Raises a typed [Unavailable] error (exit
     code 7, retryable — think [EADDRINUSE] right after a crash) if the
-    address cannot be bound, so a supervising restart loop backs off
-    and retries instead of dying. *)
+    address cannot be bound, so a restart backs off and retries
+    instead of dying. *)
 
 val start_scheduler : ?max_frame:int -> scheduler:Scheduler.t -> addr -> t
 (** {!start} with the single-worker handler: [Query] →
-    {!Scheduler.submit}, [Put] → {!Scheduler.inject}, [Stats] →
-    {!Scheduler.stats_text}, and [on_stop] → {!Scheduler.shutdown}. *)
+    {!Scheduler.submit}, [Stats] → {!Scheduler.stats_text}, and
+    [on_stop] → {!Scheduler.shutdown}. *)
 
 val addr : t -> addr
 

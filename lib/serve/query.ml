@@ -215,10 +215,12 @@ let eval_explore ~protocol ~n ~max_runs ppf =
   if max_runs < 1 then fail "explore: max_runs must be >= 1";
   match protocol with
   | "is" ->
+    (* before exploring: an [n] whose Fubini number overflows is refused *)
+    let fubini = Opart.fubini n in
     let stats, parts = Harness.explore_immediate_snapshot ~max_runs ~n () in
     pf "one-shot IS, n=%d: %a@." n Explore.pp_stats stats;
     pf "distinct ordered partitions: %d (fubini %d = %d)@."
-      (List.length parts) n (Opart.fubini n)
+      (List.length parts) n fubini
   | "alg1" ->
     let alpha = Agreement.of_adversary (Adversary.wait_free n) in
     let stats =

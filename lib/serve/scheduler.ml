@@ -32,7 +32,6 @@ type t = {
   store_ : Store.t option;
   hists : (string, Histogram.t) Hashtbl.t;
   mutable dedup_ : int;
-  mutable injected : int;
   mutable batches : int;
   mutable max_batch : int;
   mutable jobs_run : int;
@@ -166,7 +165,6 @@ let create ?store ?cache_cap () =
       store_ = store;
       hists = Hashtbl.create 8;
       dedup_ = 0;
-      injected = 0;
       batches = 0;
       max_batch = 0;
       jobs_run = 0;
@@ -244,45 +242,6 @@ let latency t endpoint =
   Mutex.unlock t.lock;
   h
 
-(* Replication write path: persist an already-computed result under
-   its digest and make it resident as a disk-sourced entry, so a
-   subsequent read here answers [source=disk] without recomputing.
-   Idempotent: a digest whose payload is already resident and on disk
-   is acknowledged without touching anything. *)
-let inject t query ~payload =
-  Mutex.lock t.lock;
-  let stopping = t.stopping in
-  Mutex.unlock t.lock;
-  if stopping then
-    Error (Fact_error.Cancelled { where = "Scheduler.inject: shutting down" })
-  else begin
-    let digest = Digest.of_query query in
-    let resident =
-      match Result_cache.find_opt t.cache digest with
-      | Some c -> String.equal c.payload payload
-      | None -> false
-    in
-    let on_disk =
-      match t.store_ with None -> true | Some s -> Store.has s ~digest
-    in
-    if resident && on_disk then Ok `Already
-    else begin
-      let query_sx = Query.to_sexp query in
-      (match t.store_ with
-      | None -> ()
-      | Some s -> (
-        try Store.put s ~digest ~query:query_sx ~payload
-        with Sys_error _ | Unix.Unix_error _ -> ()));
-      if not resident then
-        Result_cache.add t.cache digest
-          { query_sx; payload; from_disk = true };
-      Mutex.lock t.lock;
-      t.injected <- t.injected + 1;
-      Mutex.unlock t.lock;
-      Ok `Stored
-    end
-  end
-
 let shutdown t =
   Mutex.lock t.lock;
   if t.stopping then Mutex.unlock t.lock
@@ -319,7 +278,6 @@ let stats_text t =
   in
   let dedup_ = t.dedup_ and batches = t.batches in
   let max_batch = t.max_batch and jobs_run = t.jobs_run in
-  let injected = t.injected in
   Mutex.unlock t.lock;
   pf "endpoints:\n";
   if hists = [] then pf "  (no requests yet)\n";
@@ -330,8 +288,8 @@ let stats_text t =
         (Histogram.percentiles_line h);
       pf "  %-10s hist:%s\n" "" (Histogram.pp_counts_line h))
     hists;
-  pf "scheduler: dedup_joins=%d batches=%d max_batch=%d jobs_run=%d injected=%d\n"
-    dedup_ batches max_batch jobs_run injected;
+  pf "scheduler: dedup_joins=%d batches=%d max_batch=%d jobs_run=%d\n"
+    dedup_ batches max_batch jobs_run;
   let cs = Result_cache.stats t.cache in
   pf "result cache: hits=%d misses=%d evictions=%d size=%d cap=%d\n"
     cs.Cache.hits cs.Cache.misses cs.Cache.evictions cs.Cache.size cs.Cache.cap;

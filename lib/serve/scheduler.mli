@@ -42,17 +42,7 @@ val latency : t -> string -> Histogram.t option
     latency histogram (request lifetime in ms, queueing included), or
     [None] if the endpoint was never hit. Feed it to
     {!Histogram.percentile} for p50/p95/p99 — the same accessor
-    [fact loadgen] and [fact report] use. *)
-
-val inject :
-  t -> Query.t -> payload:string ->
-  ([ `Stored | `Already ], Fact_resilience.Fact_error.t) result
-(** Replication write-through / read-repair entry point (the {!Wire}
-    [Put] request): persist [payload] under the query's digest and
-    make it resident as a disk-sourced result, so later reads answer
-    [source=disk]. Idempotent — [`Already] when the identical payload
-    is both resident and on disk. After {!shutdown}, a [Cancelled]
-    error. *)
+    [fact report] uses. *)
 
 val stats_text : t -> string
 (** Human-readable server statistics: per-endpoint request counts and

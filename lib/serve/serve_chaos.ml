@@ -1,6 +1,5 @@
 module Fact_error = Fact_resilience.Fact_error
 module Cache = Fact_resilience.Cache
-module Backoff = Fact_resilience.Backoff
 module Chaos = Fact_check.Chaos
 
 let ref_query = Query.Ra { n = 2; adv = Query.Preset "wait-free" }
@@ -39,8 +38,6 @@ let scribble rng file =
   let oc = open_out file in
   output_string oc garbage;
   close_out oc
-
-(* ----------------------------- listener ----------------------------- *)
 
 type env = {
   sock_path : string;
@@ -220,175 +217,4 @@ let run ?seed ~max_faults () =
         { kind = "store corruptions"; inject = inject_corruption };
         { kind = "forced evictions"; inject = inject_eviction };
         { kind = "bad frames"; inject = inject_bad_frame };
-      ]
-
-(* ------------------------------ cluster ----------------------------- *)
-
-type cenv = {
-  cluster : Cluster.t;
-  shards : int;
-  replicas : int;
-  creference : string;  (* one-shot [Query.eval ref_query] *)
-  ref_shard : int;
-  ref_digest : string;
-}
-
-(* one front-tier query, straight through the handler *)
-let cquery env =
-  match
-    Cluster.handler env.cluster
-      (Wire.Query { query = ref_query; deadline_s = None })
-  with
-  | Wire.Payload { payload; source } -> Ok (payload, source)
-  | Wire.Refused e -> Error (Fact_error.to_string e)
-  | _ -> Error "unexpected response shape"
-  | exception e -> Error ("untyped escape: " ^ Printexc.to_string e)
-
-(* availability invariant: after any fault, a query must succeed with
-   the byte-identical one-shot payload *)
-let ccheck p env what =
-  match cquery env with
-  | Ok (payload, _) ->
-    if String.equal payload env.creference then Chaos.recovered p
-    else Chaos.violation p "%s: payload drifted from one-shot eval" what
-  | Error m -> Chaos.violation p "%s: query failed: %s" what m
-
-let wait_up p env ~shard ~replica what =
-  let state () = Cluster.worker_state env.cluster ~shard ~replica in
-  let deadline = Unix.gettimeofday () +. 15. in
-  let rec poll () =
-    match state () with
-    | Supervisor.Up _ -> ()
-    | _ when Unix.gettimeofday () > deadline ->
-      Chaos.violation p "%s: worker %d/%d not restarted (state %s)" what shard
-        replica
-        (Supervisor.state_to_string (state ()))
-    | _ ->
-      Thread.delay 0.05;
-      poll ()
-  in
-  poll ()
-
-let ref_entry_path env ~replica =
-  Filename.concat
-    (Cluster.worker_dir env.cluster ~shard:env.ref_shard ~replica)
-    (env.ref_digest ^ ".fact")
-
-(* read-repair convergence: after a query, the replica's store must
-   regain the reference entry *)
-let wait_repaired p env ~replica what =
-  let deadline = Unix.gettimeofday () +. 10. in
-  let rec poll () =
-    if Sys.file_exists (ref_entry_path env ~replica) then
-      Chaos.bump p "repaired replicas"
-    else if Unix.gettimeofday () > deadline then
-      Chaos.violation p "%s: read-repair did not restore replica %d of shard %d"
-        what replica env.ref_shard
-    else begin
-      ignore (cquery env);
-      Thread.delay 0.1;
-      poll ()
-    end
-  in
-  poll ()
-
-(* kill -9 a random worker while requests are in flight *)
-let inject_kill p env =
-  let shard = Random.State.int (Chaos.rng p) env.shards in
-  let replica = Random.State.int (Chaos.rng p) env.replicas in
-  let outcomes = Array.make 3 (Error "no result") in
-  let clients =
-    Array.init 3 (fun i ->
-        Thread.create (fun () -> outcomes.(i) <- cquery env) ())
-  in
-  Cluster.kill_worker env.cluster ~shard ~replica;
-  Array.iter Thread.join clients;
-  Array.iter
-    (function
-      | Ok (payload, _) ->
-        if String.equal payload env.creference then Chaos.recovered p
-        else Chaos.violation p "kill: mid-request payload drifted"
-      | Error m -> Chaos.violation p "kill: mid-request query failed: %s" m)
-    outcomes;
-  wait_up p env ~shard ~replica "kill";
-  ccheck p env "kill"
-
-(* corrupt the reference entry in one replica's store, then kill that
-   worker: the restart must quarantine the garbage (never serve it)
-   and read-repair must put the entry back *)
-let inject_replica_corruption p env =
-  let replica = Random.State.int (Chaos.rng p) env.replicas in
-  (try scribble (Chaos.rng p) (ref_entry_path env ~replica)
-   with Sys_error _ -> ());
-  Cluster.kill_worker env.cluster ~shard:env.ref_shard ~replica;
-  wait_up p env ~shard:env.ref_shard ~replica "corruption";
-  ccheck p env "corruption";
-  wait_repaired p env ~replica "corruption"
-
-(* SIGSTOP: the worker is alive but silent; heartbeats must mark it
-   down and routing must prefer its twin *)
-let inject_stall p env =
-  let shard = Random.State.int (Chaos.rng p) env.shards in
-  let replica = Random.State.int (Chaos.rng p) env.replicas in
-  Cluster.pause_worker env.cluster ~shard ~replica;
-  (* two heartbeat periods at 0.2s, fail_threshold 2: health flips *)
-  Thread.delay 0.6;
-  ccheck p env "stall";
-  Cluster.resume_worker env.cluster ~shard ~replica;
-  ccheck p env "stall-resume"
-
-(* kill every replica of the reference shard at once: the front tier
-   must degrade to local evaluation rather than fail, and the shard's
-   stores must be repopulated once the workers return *)
-let inject_blackout p env =
-  for replica = 0 to env.replicas - 1 do
-    Cluster.kill_worker env.cluster ~shard:env.ref_shard ~replica
-  done;
-  ccheck p env "blackout";
-  for replica = 0 to env.replicas - 1 do
-    wait_up p env ~shard:env.ref_shard ~replica "blackout"
-  done;
-  ccheck p env "blackout-recovered";
-  for replica = 0 to env.replicas - 1 do
-    wait_repaired p env ~replica "blackout"
-  done
-
-let run_cluster ?seed ?(shards = 2) ?(replicas = 2) ~max_faults () =
-  Chaos.drive ~fn:"Serve_chaos.run_cluster" ~tier:"cluster" ~salt:0xc1a5 ?seed
-    ~outcomes:[ "repaired replicas" ] ~max_faults
-    ~with_env:(fun p storm ->
-      with_temp_dir "fact-serve-chaos" (fun dir ->
-          let cfg =
-            Cluster.config ~dir:(Filename.concat dir "cluster") ~shards
-              ~replicas ~attempt_timeout_s:2.
-              ~backoff:(Backoff.make ~base_ms:50. ~max_ms:500. ())
-              ~restart_budget:max_int ~reset_after_s:0.5
-              ~heartbeat_period_s:0.2 ~fail_threshold:2 ()
-          in
-          let cluster = Cluster.start cfg in
-          Fun.protect
-            ~finally:(fun () -> try Cluster.stop cluster with _ -> ())
-            (fun () ->
-              let env =
-                {
-                  cluster;
-                  shards;
-                  replicas;
-                  creference = Query.eval ref_query;
-                  ref_shard = Cluster.shard_of cluster ref_query;
-                  ref_digest = Digest.of_query ref_query;
-                }
-              in
-              (* seed the entry and let write-through replicate it *)
-              ccheck p env "warmup";
-              for replica = 0 to replicas - 1 do
-                wait_repaired p env ~replica "warmup"
-              done;
-              storm env)))
-    Chaos.
-      [
-        { kind = "kills"; inject = inject_kill };
-        { kind = "replica corruptions"; inject = inject_replica_corruption };
-        { kind = "stalls"; inject = inject_stall };
-        { kind = "blackouts"; inject = inject_blackout };
       ]

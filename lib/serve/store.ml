@@ -144,8 +144,6 @@ let get t ~digest =
     counted t (fun () -> t.misses <- t.misses + 1);
     None
 
-let has t ~digest = Sys.file_exists (path t digest)
-
 let digests_on_disk t =
   match Sys.readdir t.dir with
   | exception Sys_error _ -> []

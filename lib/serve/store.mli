@@ -39,10 +39,6 @@ val put : t -> digest:string -> query:Fact_sexp.Sexp.t -> payload:string -> unit
 
 val get : t -> digest:string -> string option
 
-val has : t -> digest:string -> bool
-(** An entry file exists under the digest's name (no validation — a
-    cheap presence probe for replication convergence checks). *)
-
 val iter :
   t ->
   (digest:string -> query:Fact_sexp.Sexp.t -> payload:string -> unit) ->

@@ -6,7 +6,6 @@ let default_max_frame = 1 lsl 20
 
 type request =
   | Query of { query : Query.t; deadline_s : float option }
-  | Put of { query : Query.t; payload : string }
   | Stats
   | Ping
   | Shutdown
@@ -15,7 +14,6 @@ type source = Computed | Memory | Disk
 
 type response =
   | Payload of { payload : string; source : source }
-  | Stored of { already : bool }
   | Stats_payload of string
   | Pong
   | Shutting_down
@@ -126,12 +124,6 @@ let request_to_sexp = function
     in
     versioned "query"
       (Sexp.List [ Sexp.Atom "query"; Query.to_sexp query ] :: deadline)
-  | Put { query; payload } ->
-    versioned "put"
-      [
-        Sexp.List [ Sexp.Atom "query"; Query.to_sexp query ];
-        Sexp.List [ Sexp.Atom "payload"; Sexp.Atom payload ];
-      ]
   | Stats -> versioned "stats" []
   | Ping -> versioned "ping" []
   | Shutdown -> versioned "shutdown" []
@@ -156,11 +148,6 @@ let request_of_sexp sx =
           | None -> Error (Printf.sprintf "bad deadline %S" a))
       in
       Ok (Query { query; deadline_s })
-    | "put" ->
-      let* qsx = Sexp.assoc "query" sx in
-      let* query = Query.of_sexp qsx in
-      let* payload = atom_field sx "payload" in
-      Ok (Put { query; payload })
     | "stats" -> Ok Stats
     | "ping" -> Ok Ping
     | "shutdown" -> Ok Shutdown
@@ -175,13 +162,6 @@ let response_to_sexp = function
         Sexp.Atom "payload";
         Sexp.List [ Sexp.Atom "source"; Sexp.Atom (source_to_string source) ];
         Sexp.List [ Sexp.Atom "body"; Sexp.Atom payload ];
-      ]
-  | Stored { already } ->
-    Sexp.List
-      [
-        Sexp.Atom "stored";
-        Sexp.List
-          [ Sexp.Atom "already"; Sexp.Atom (if already then "true" else "false") ];
       ]
   | Stats_payload s ->
     Sexp.List
@@ -200,15 +180,6 @@ let response_of_sexp sx =
     let* source = source_of_string s in
     let* payload = atom_field sx "body" in
     Ok (Payload { payload; source })
-  | Sexp.List (Sexp.Atom "stored" :: fields) ->
-    let* a = atom_field (Sexp.List fields) "already" in
-    let* already =
-      match a with
-      | "true" -> Ok true
-      | "false" -> Ok false
-      | a -> Error (Printf.sprintf "bad already flag %S" a)
-    in
-    Ok (Stored { already })
   | Sexp.List (Sexp.Atom "stats" :: fields) ->
     let* body = atom_field (Sexp.List fields) "body" in
     Ok (Stats_payload body)
@@ -380,13 +351,6 @@ let write_request w req =
       put_string w ") (deadline-s ";
       put_string w (Printf.sprintf "%.6f" d));
     put_string w "))"
-  | Put { query; payload } ->
-    put_versioned w "put";
-    put_string w ") (query ";
-    put_sexp w (Query.to_sexp query);
-    put_string w ") (payload ";
-    put_atom w payload;
-    put_string w "))"
   | Stats ->
     put_versioned w "stats";
     put_string w "))"
@@ -407,10 +371,6 @@ let write_response w resp =
     put_string w ") (body ";
     put_atom w payload;
     put_string w "))"
-  | Stored { already } ->
-    put_string w
-      (if already then "(stored (already true))"
-       else "(stored (already false))")
   | Stats_payload s ->
     put_string w "(stats (body ";
     put_atom w s;

@@ -25,11 +25,6 @@ val default_max_frame : int  (** 1 MiB *)
 type request =
   | Query of { query : Query.t; deadline_s : float option }
       (** [deadline_s] bounds the whole request, queueing included. *)
-  | Put of { query : Query.t; payload : string }
-      (** Replication write-through / read-repair: ask the receiver to
-          persist an already-computed result under the query's digest.
-          Idempotent; a receiver that already holds the digest answers
-          [Stored { already = true }] without touching disk. *)
   | Stats
   | Ping
   | Shutdown
@@ -41,7 +36,6 @@ type source =
 
 type response =
   | Payload of { payload : string; source : source }
-  | Stored of { already : bool }  (** acknowledges a {!Put} *)
   | Stats_payload of string
   | Pong
   | Shutting_down

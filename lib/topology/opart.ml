@@ -67,7 +67,28 @@ let random st s =
   if not (Pset.is_empty !current) then blocks := !current :: !blocks;
   List.rev !blocks
 
-let fubini n = List.length (enumerate (Pset.full n))
+(* a(m) = Σ_{k=1..m} C(m,k)·a(m−k), a(0) = 1, with overflow-checked
+   products and sums: a(18) is the last value that fits an [int]. *)
+let fubini n =
+  let fail what =
+    Fact_resilience.Fact_error.precondition ~fn:"Opart.fubini"
+      (Printf.sprintf "fubini %d: %s" n what)
+  in
+  if n < 0 then fail "n must be >= 0";
+  let overflow () = fail "exceeds max_int (n <= 18)" in
+  let mul x y = if y <> 0 && x > max_int / y then overflow () else x * y in
+  let add x y = if x > max_int - y then overflow () else x + y in
+  (* [prev] is a(m-1) ... a(0); [row] is C(m-1,0) ... C(m-1,m-1) *)
+  let rec go m prev row =
+    if m > n then List.hd prev
+    else
+      let row = List.map2 ( + ) (row @ [ 0 ]) (0 :: row) in
+      let a =
+        List.fold_left2 (fun acc c b -> add acc (mul c b)) 0 (List.tl row) prev
+      in
+      go (m + 1) (a :: prev) row
+  in
+  go 1 [ 1 ] [ 1 ]
 
 let is_valid_views pairs =
   let self_inclusion = List.for_all (fun (p, v) -> Pset.mem p v) pairs in

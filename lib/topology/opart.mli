@@ -44,7 +44,9 @@ val random : Random.State.t -> Pset.t -> t
 
 val fubini : int -> int
 (** [fubini n] is the number of ordered set partitions of an n-element
-    set. *)
+    set, by the recurrence [a(n) = Σ_k C(n,k)·a(n−k)] (no enumeration).
+    Raises a typed [Precondition] {!Fact_resilience.Fact_error} if
+    [n < 0] or the value exceeds [max_int] ([n > 18]). *)
 
 val is_valid_views : (int * Pset.t) list -> bool
 (** Checks the three IS properties (self-inclusion, containment,

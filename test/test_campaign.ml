@@ -161,7 +161,7 @@ let test_corrupt_result_quarantined () =
       check "rerun skips the other" 1 p.Runner.skipped;
       check_bool "cell completed again" true (Results.completed ~dir ~digest))
 
-let test_local_cluster_identical () =
+let test_local_serve_identical () =
   let base = fresh_dir () in
   let sock = Filename.concat base "camp.sock" in
   let scheduler = Scheduler.create () in
@@ -181,24 +181,24 @@ let test_local_cluster_identical () =
            (wait-free t-res:1 t-res:2)) (n (2)))))"
       in
       let local = Filename.concat base "local"
-      and cluster = Filename.concat base "cluster" in
+      and served = Filename.concat base "serve" in
       let p1 = Runner.run ~backend:Runner.Local ~dir:local spec in
       let p2 =
         Runner.run
           ~backend:
-            (Runner.Cluster
+            (Runner.Serve
                {
                  addr = Listener.Unix_sock sock; retries = 2;
                  backoff = None; timeout_s = 30.;
                })
-          ~dir:cluster spec
+          ~dir:served spec
       in
       check "local valid ok" 2 p1.Runner.ok;
-      check "cluster valid ok" 2 p2.Runner.ok;
+      check "serve valid ok" 2 p2.Runner.ok;
       check "local bad preset failed" 1 p1.Runner.failed;
-      check "cluster bad preset failed" 1 p2.Runner.failed;
+      check "serve bad preset failed" 1 p2.Runner.failed;
       let files dir = Sys.readdir (Results.cells_dir dir) in
-      let lf = files local and cf = files cluster in
+      let lf = files local and cf = files served in
       Array.sort compare lf;
       Array.sort compare cf;
       check_bool "same cell filenames" true (lf = cf);
@@ -207,7 +207,7 @@ let test_local_cluster_identical () =
           check_string
             (Printf.sprintf "cell %s byte-identical" f)
             (read_file (Filename.concat (Results.cells_dir local) f))
-            (read_file (Filename.concat (Results.cells_dir cluster) f)))
+            (read_file (Filename.concat (Results.cells_dir served) f)))
         lf)
 
 (* ------------------------------------------------------------------ *)
@@ -384,7 +384,7 @@ let test_histogram_percentiles () =
   check_bool "p100 <= 128ms" true (Histogram.percentile h 100. = 128.0);
   check_string "line format" "p50<=1ms p95<=4ms p99<=4ms"
     (Histogram.percentiles_line h);
-  (* of_counts adopts raw buckets — the scheduler/loadgen snapshot path *)
+  (* of_counts adopts raw buckets — the scheduler's snapshot path *)
   let h2 = Histogram.of_counts (Histogram.counts h) in
   check "of_counts count" 100 (Histogram.count h2);
   check_bool "of_counts p95" true (Histogram.percentile h2 95. = 4.0)
@@ -400,8 +400,8 @@ let suite =
       test_resume_skips_completed;
     Alcotest.test_case "corrupt result quarantined" `Quick
       test_corrupt_result_quarantined;
-    Alcotest.test_case "local vs cluster byte-identical" `Quick
-      test_local_cluster_identical;
+    Alcotest.test_case "local vs serve byte-identical" `Quick
+      test_local_serve_identical;
     Alcotest.test_case "gate pass/fail" `Quick test_gate_pass_and_fail;
     Alcotest.test_case "bench gate wall + alloc" `Quick test_bench_gate;
     Alcotest.test_case "trend table md/csv" `Quick test_trend_table;

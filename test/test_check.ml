@@ -612,6 +612,25 @@ let test_branching_equals_replay () =
     [ false; true; false; false; false; true ]
     (List.map (fun k -> k > 0) v)
 
+(* [before] reads the order of two events, so the explorer must not
+   treat the steps of the processes it names as commuting. The runs in
+   which p1 decides before p0 takes a step violate this assertion; a
+   sleep set that lets p0's and p1's commuting steps stand for each
+   other's orders never reaches them. *)
+let test_explore_before_sees_order () =
+  let assertion =
+    Assertion.Before
+      (Assertion.Steps (Pset.singleton 0), Assertion.Decides (Pset.singleton 1))
+  in
+  check_bool "before names p0 and p1" true
+    (Pset.equal (Assertion.ordered assertion) (Pset.full 2));
+  let stats, _ =
+    Harness.explore_immediate_snapshot ~assertion ~stop_on_violation:false
+      ~n:2 ()
+  in
+  check_bool "exhaustive" true stats.Explore.exhausted;
+  check_bool "violation found" true (stats.Explore.violations <> [])
+
 let suite =
   [
     ("trace: round-trip", `Quick, test_trace_roundtrip);
@@ -641,4 +660,5 @@ let suite =
     ("parallel explore: identical shrunk counterexample", `Slow, test_explore_parallel_counterexample);
     ("parallel explore: budgeted runs identical at 1/2/4 domains", `Slow, test_explore_budget_identical);
     ("explore: branching from saved states equals replay", `Slow, test_branching_equals_replay);
+    ("explore: before assertions see step order", `Quick, test_explore_before_sees_order);
   ]

@@ -585,19 +585,10 @@ let test_backoff_policy () =
   check_precondition "cap below base" ~fn:"Backoff.make" (fun () ->
       Backoff.make ~base_ms:100. ~max_ms:50. ())
 
-let test_backoff_interruptible () =
-  let p = Backoff.make ~base_ms:5_000. ~max_ms:5_000. () in
-  (* a stop signal cuts a long sleep short at poll granularity *)
-  let t0 = Unix.gettimeofday () in
-  Backoff.sleep_interruptible p ~attempt:0 ~stop:(fun () -> true);
-  check_bool "stop observed promptly" true (Unix.gettimeofday () -. t0 < 1.)
-
 let suite =
   [
     Alcotest.test_case "error taxonomy" `Quick test_error_taxonomy;
     Alcotest.test_case "backoff policy" `Quick test_backoff_policy;
-    Alcotest.test_case "backoff interruptible sleep" `Quick
-      test_backoff_interruptible;
     Alcotest.test_case "cancel token" `Quick test_cancel_token;
     Alcotest.test_case "cache bounded" `Quick test_cache_bounded;
     Alcotest.test_case "cache recompute audit" `Quick

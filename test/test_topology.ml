@@ -66,7 +66,18 @@ let prop_pset_subsets_count =
 let test_fubini () =
   List.iteri
     (fun n expected -> check (Printf.sprintf "fubini %d" n) expected (Opart.fubini n))
-    [ 1; 1; 3; 13; 75 ]
+    [ 1; 1; 3; 13; 75 ];
+  check "fubini 18 exact" 3385534663256845323 (Opart.fubini 18);
+  (match Opart.fubini 19 with
+  | v -> Alcotest.failf "fubini 19 overflowed to %d" v
+  | exception Fact_resilience.Fact_error.Error
+      (Fact_resilience.Fact_error.Precondition _) -> ());
+  for n = 0 to 6 do
+    check
+      (Printf.sprintf "fubini %d = |enumerate|" n)
+      (List.length (Opart.enumerate (Pset.full n)))
+      (Opart.fubini n)
+  done
 
 let test_opart_views () =
   (* Ordered run {p1},{p0},{p2} from Figure 3a (relabeled to 0-based). *)
