@@ -247,11 +247,7 @@ let solve_cmd =
 
 (* ----------------------------- chr -------------------------------- *)
 
-let chr n m =
-  let c = Chr.iterate m (Chr.standard n) in
-  pf "Chr^%d s (n=%d): %a@." m n Complex.pp_stats c;
-  pf "simplices: %d  euler characteristic: %d@." (Complex.simplex_count c)
-    (Complex.euler_characteristic c)
+let chr n m = print_string (Query.eval (Query.Chr { n; m }))
 
 let chr_cmd =
   let m_arg =
@@ -347,6 +343,7 @@ let explore protocol max_depth max_runs max_crashes skip_wait assert_spec
       stats.Explore.violations
       ~ok:"no violation: every run yields a valid ordered partition"
   | "alg1" ->
+    Query.check_size ~n ~m:2;
     let adv =
       match (preset, live_sets) with
       | None, [] -> Adversary.wait_free n

@@ -39,7 +39,7 @@ type 'r view = {
   v_report : 'r Exec.report;
   v_truncated : bool;
   v_participants : Pset.t;
-  v_events : event array;
+  v_events : event array Lazy.t;
 }
 
 type 'r env = {
@@ -242,21 +242,27 @@ let resolve env objs =
   go [] objs
 
 let eval ~env t view =
-  let events = view.v_events in
-  let nevents = Array.length events in
+  (* The event array and the last-step table are built on first use:
+     only the event-level operators read them. *)
+  let events () = Lazy.force view.v_events in
+  let nevents () = Array.length (events ()) in
   (* A step event is a process's deciding step iff it is its last
      recorded step and the process finished with a decision. The
      executor records every event of every footprint process, so the
      last recorded step of such a process is its true last step. *)
-  let last_step = Hashtbl.create 8 in
-  Array.iteri
-    (fun i e ->
-      match e with
-      | Stepped { e_pid; _ } -> Hashtbl.replace last_step e_pid i
-      | Crashed _ -> ())
-    events;
+  let last_step =
+    lazy
+      (let tbl = Hashtbl.create 8 in
+       Array.iteri
+         (fun i e ->
+           match e with
+           | Stepped { e_pid; _ } -> Hashtbl.replace tbl e_pid i
+           | Crashed _ -> ())
+         (events ());
+       tbl)
+  in
   let deciding i pid =
-    (match Hashtbl.find_opt last_step pid with
+    (match Hashtbl.find_opt (Lazy.force last_step) pid with
     | Some j -> j = i
     | None -> false)
     &&
@@ -265,7 +271,7 @@ let eval ~env t view =
     | _ -> false
   in
   let sat a i =
-    match (a, events.(i)) with
+    match (a, (events ()).(i)) with
     | Steps ps, Stepped { e_pid; _ } -> Ok (Pset.mem e_pid ps)
     | Crashes ps, Crashed { e_pid } -> Ok (Pset.mem e_pid ps)
     | Decides ps, Stepped { e_pid; _ } ->
@@ -313,6 +319,7 @@ let eval ~env t view =
     | Implies (a, b) -> (
       match verdict a with Error _ -> Ok () | Ok () -> verdict b)
     | Always a ->
+      let nevents = nevents () in
       let rec go i =
         if i >= nevents then Ok ()
         else
@@ -327,6 +334,7 @@ let eval ~env t view =
     | Eventually a ->
       if view.v_truncated then Ok ()
       else
+        let nevents = nevents () in
         let rec go i =
           if i >= nevents then
             Error
@@ -338,6 +346,7 @@ let eval ~env t view =
         in
         go 0
     | Before (a, b) ->
+      let nevents = nevents () in
       let rec go i seen_a =
         if i >= nevents then Ok ()
         else
@@ -384,6 +393,8 @@ let eval ~env t view =
         | Some (nm, _) -> nm
         | None -> Printf.sprintf "#%d" id
       in
+      let events = events () in
+      let nevents = Array.length events in
       let rec go i =
         if i >= nevents then Ok ()
         else
@@ -452,7 +463,7 @@ let subject ~participants ~make t () =
         v_report = report;
         v_truncated = truncated;
         v_participants = participants;
-        v_events = Array.of_list (List.rev events);
+        v_events = lazy (Array.of_list (List.rev events));
       }
   in
   { Subject.procs; observed; ordered = ordered t; check }

@@ -89,7 +89,9 @@ type 'r view = {
   v_report : 'r Exec.report;
   v_truncated : bool;
   v_participants : Pset.t;
-  v_events : event array;  (** footprint-filtered, in schedule order *)
+  v_events : event array Lazy.t;
+      (** footprint-filtered, in schedule order; built only when an
+          event-level operator or a named predicate forces it *)
 }
 (** What one monitored execution looks like to an assertion. *)
 

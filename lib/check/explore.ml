@@ -314,6 +314,17 @@ let explore_core ~cfg ~stop_on_violation ~classify ~base ~forced ~floor
       (List.init !plen (fun i -> (node_at i).chosen))
   in
 
+  (* The processes crashed along the current path. *)
+  let current_crashes () =
+    let crashed = ref Pset.empty in
+    for i = 0 to !plen - 1 do
+      match (node_at i).chosen with
+      | Trace.Crash p -> crashed := Pset.add p !crashed
+      | Trace.Step _ -> ()
+    done;
+    !crashed
+  in
+
   let keys tbl = Hashtbl.fold (fun k () acc -> k :: acc) tbl [] in
   let tally ~exhausted =
     {
@@ -381,18 +392,20 @@ let explore_core ~cfg ~stop_on_violation ~classify ~base ~forced ~floor
       if blocked then incr pruned
       else begin
         if truncated then incr truncated_runs else incr runs;
-        let outcome = { report; trace = current_trace (); truncated } in
-        if not truncated then begin
-          let faulty = Trace.crashes outcome.trace in
-          Hashtbl.replace patterns (Pset.to_mask faulty) ()
-        end;
+        (* the trace is built only for [classify] or a violation *)
+        let outcome = lazy { report; trace = current_trace (); truncated } in
+        if not truncated then
+          Hashtbl.replace patterns (Pset.to_mask (current_crashes ())) ();
         (match classify with
-        | Some f -> Option.iter (fun c -> Hashtbl.replace classes c ()) (f outcome)
+        | Some f ->
+          Option.iter
+            (fun c -> Hashtbl.replace classes c ())
+            (f (Lazy.force outcome))
         | None -> ());
         match subj.Subject.check report ~events ~truncated with
         | Ok () -> ()
         | Error _ ->
-          violations := outcome :: !violations;
+          violations := Lazy.force outcome :: !violations;
           if stop_on_violation then stop := true
       end;
       if not !stop then

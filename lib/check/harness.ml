@@ -71,16 +71,48 @@ let is_subject ?mutation ?(assertion = is_default_assertion) ~n () =
 (* Algorithm 1.                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* Outputs that encode no chromatic simplex of [Chr² s] (a view that
+   misses its own process, or two vertices of one color) lie outside
+   [R_A] like any other foreign simplex. *)
 let alg1_prop ~ra report =
   match List.map snd (Exec.decided report) with
   | [] -> true
-  | outputs -> Complex.mem (Algorithm1.simplex_of_outputs outputs) ra
+  | outputs -> (
+    match Algorithm1.simplex_of_outputs outputs with
+    | s -> Complex.mem s ra
+    | exception Invalid_argument _ -> false)
 
+(* The decided (pid, view2) pairs: all that [alg1_prop] reads. *)
+module Outputs_tbl = Hashtbl.Make (struct
+  type t = (int * (int * Pset.t) list) list
+
+  let equal = ( = )
+  let hash = Hashtbl.hash_param 64 256
+end)
+
+(* [in-ra] is a pure function of the decided (pid, view2) pairs, so
+   each subject instance keeps a table of its verdicts. The instance
+   belongs to one exploration task, hence to one domain, and the table
+   needs no lock; a hit builds no simplex and takes no intern lock. *)
 let alg1_named ~ra =
+  let memo = Outputs_tbl.create 64 in
+  let in_ra report =
+    let key =
+      List.map
+        (fun (_, (o : Algorithm1.output)) -> (o.pid, o.view2))
+        (Exec.decided report)
+    in
+    match Outputs_tbl.find_opt memo key with
+    | Some v -> v
+    | None ->
+      let v = alg1_prop ~ra report in
+      Outputs_tbl.add memo key v;
+      v
+  in
   [
     ( "in-ra",
       fun (view : _ Assertion.view) ->
-        if alg1_prop ~ra view.Assertion.v_report then Ok ()
+        if in_ra view.Assertion.v_report then Ok ()
         else Error "in-ra: the decided outputs form a simplex outside R_A" );
   ]
 

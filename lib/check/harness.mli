@@ -61,7 +61,11 @@ val is_subject :
 
 val alg1_prop : ra:Complex.t -> Algorithm1.output Exec.report -> bool
 (** Theorem 7 safety: the decided outputs form a simplex of [R_A]
-    (vacuously true when nothing decided). *)
+    (vacuously true when nothing decided). Outputs that encode no
+    chromatic simplex of [Chr² s] are outside [R_A]: the verdict is
+    [false], nothing is raised. The [in-ra] named assertion of
+    {!alg1_subject} returns this verdict, memoized per subject instance
+    on the decided [(pid, view2)] pairs. *)
 
 val alg1_default_assertion : Assertion.t
 (** [All [Named "in-ra"; Eventually_decides None]]. *)

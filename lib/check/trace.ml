@@ -33,11 +33,6 @@ let participants t = t.participants
 let decisions t = t.decisions
 let length t = List.length t.decisions
 
-let crashes t =
-  List.fold_left
-    (fun acc -> function Crash p -> Pset.add p acc | Step _ -> acc)
-    Pset.empty t.decisions
-
 let pp_decision ppf = function
   | Step p -> Format.fprintf ppf "s%d" p
   | Crash p -> Format.fprintf ppf "c%d" p

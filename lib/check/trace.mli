@@ -30,9 +30,6 @@ val participants : t -> Pset.t
 val decisions : t -> decision list
 val length : t -> int
 
-val crashes : t -> Pset.t
-(** The processes crashed by the trace. *)
-
 val to_string : t -> string
 val of_string : string -> (t, string) result
 (** Inverse of {!to_string}; [Error msg] on malformed input. *)

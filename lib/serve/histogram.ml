@@ -16,6 +16,7 @@ let bucket_of_ms ms =
   in
   go 0 1.
 
+(* Upper bound of bucket [i] in ms: [2^i]. *)
 let bound_ms i =
   let i = if i < 0 then 0 else if i >= buckets then buckets - 1 else i in
   (* the overflow bucket shares the last bounded bucket's figure *)
@@ -40,7 +41,6 @@ let of_counts arr =
   t
 
 let count t = t.count_
-let total_ms t = t.total_ms_
 let mean_ms t = if t.count_ = 0 then 0. else t.total_ms_ /. float_of_int t.count_
 let max_ms t = t.max_ms_
 let counts t = Array.copy t.counts_

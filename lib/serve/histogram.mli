@@ -28,17 +28,11 @@ val of_counts : int array -> t
     Mean and max are unavailable on the result (0). *)
 
 val count : t -> int
-val total_ms : t -> float
 val mean_ms : t -> float
 val max_ms : t -> float
 
 val counts : t -> int array
 (** A copy of the bucket counts. *)
-
-val bound_ms : int -> float
-(** Upper bound of bucket [i] in ms ([2^i]; the overflow bucket
-    reports the same bound as the last bounded one — read it as
-    "greater than"). *)
 
 val percentile : t -> float -> float
 (** [percentile t p] (0 < p <= 100): the upper bound of the bucket

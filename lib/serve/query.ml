@@ -139,6 +139,31 @@ let adversary ~n = function
     | a -> a
     | exception (Invalid_argument m | Failure m) -> fail "bad live sets: %s" m)
 
+(* The complexes these endpoints build hold every face of [Chr^m s]:
+   at most [fubini n ^ m] facets of [2^n] faces each. Beyond
+   [max_faces] the build cannot finish in memory (on a 2 GB address
+   space, [chr -n 5 -m 2] at 9.4M finishes and [chr -n 2 -m 14] at
+   19.1M aborts), so it is refused before anything is allocated. *)
+let max_faces = 1 lsl 24
+
+let check_size ~n ~m =
+  if n < 0 then fail "n must be >= 0";
+  let too_big () =
+    fail "n = %d, m = %d: Chr^%d s would exceed %d faces" n m m max_faces
+  in
+  (* [fubini] refuses n > 18 itself, so [2^n] cannot overflow below *)
+  let f =
+    match Opart.fubini n with
+    | f -> f
+    | exception Fact_error.Error _ -> too_big ()
+  in
+  let rec facets acc k =
+    if k <= 0 then acc
+    else if acc > max_faces / f then too_big ()
+    else facets (acc * f) (k - 1)
+  in
+  if facets 1 m > max_faces lsr n then too_big ()
+
 let render f =
   let buf = Buffer.create 512 in
   let ppf = Format.formatter_of_buffer buf in
@@ -232,6 +257,11 @@ let eval_explore ~protocol ~n ~max_runs ppf =
   | p -> fail "unknown protocol %S (alg1 | is)" p
 
 let eval q =
+  (match q with
+  | Ra { n; _ } | Explore { protocol = "alg1"; n; _ } -> check_size ~n ~m:2
+  | Chr { n; m } -> check_size ~n ~m
+  | Critical { n; _ } -> check_size ~n ~m:1
+  | Setcon _ | Fairness _ | Explore _ -> ());
   render
     (match q with
     | Ra { n; adv } -> eval_ra ~n ~adv

@@ -51,6 +51,13 @@ val adversary : n:int -> adversary_spec -> Fact_adversary.Adversary.t
     [Precondition] {!Fact_resilience.Fact_error} on an unknown preset
     or malformed live sets. *)
 
+val check_size : n:int -> m:int -> unit
+(** Refuse, with a typed [Precondition], a universe whose [Chr^m s]
+    would hold more than 2{^24} faces ([fubini n ^ m] facets of [2^n]
+    faces each), or a negative [n]. {!eval} applies it before building
+    anything: with [m = 2] for [Ra] and the [alg1] [Explore] (both
+    build [R_A ⊆ Chr² s]), [m] for [Chr] and [m = 1] for [Critical]. *)
+
 val eval : t -> string
 (** Run the query and render its payload. Deterministic: independent
     of domain count, cache caps and cache temperature. Raises typed

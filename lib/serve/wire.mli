@@ -48,9 +48,6 @@ val request_of_sexp : Sexp.t -> (request, string) result
 val response_to_sexp : response -> Sexp.t
 val response_of_sexp : Sexp.t -> (response, string) result
 
-val error_to_sexp : Fact_resilience.Fact_error.t -> Sexp.t
-val error_of_sexp : Sexp.t -> (Fact_resilience.Fact_error.t, string) result
-
 (** {2 Framed I/O over file descriptors} *)
 
 type read_error =

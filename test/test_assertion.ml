@@ -428,6 +428,68 @@ let test_resume_mid_violation () =
     relaxed.Explore.runs
 
 (* ------------------------------------------------------------------ *)
+(* Algorithm 1 counts: the 1-OF oracle and the mutants' violations    *)
+(* ------------------------------------------------------------------ *)
+
+(* runs, truncated, pruned, crash patterns, violations, exhausted *)
+let alg1_counts ?mutation ~alpha ~domains () =
+  let stats =
+    Harness.explore_algorithm1 ?mutation ~domains ~alpha
+      ~participants:(Pset.full 2) ()
+  in
+  ( stats.Explore.runs,
+    stats.Explore.truncated,
+    stats.Explore.pruned,
+    stats.Explore.crash_patterns,
+    List.length stats.Explore.violations,
+    stats.Explore.exhausted )
+
+let counts = Alcotest.(check (list int))
+
+let check_counts name (runs, truncated, pruned, patterns, viols, exhausted)
+    expected =
+  counts name expected [ runs; truncated; pruned; patterns; viols ];
+  check_bool (name ^ " exhausted") true exhausted
+
+let wf2 = Agreement.of_adversary (Adversary.wait_free 2)
+let kof1 = Agreement.k_obstruction_free ~n:2 ~k:1
+
+let test_fingerprint_alg1_kof1 () =
+  List.iter
+    (fun domains ->
+      check_counts
+        (Printf.sprintf "alg1 1-OF n=2 domains=%d" domains)
+        (alg1_counts ~alpha:kof1 ~domains ())
+        [ 3063; 3138; 5776; 1; 0 ])
+    [ 1; 2; 4 ]
+
+let test_mutant_counts () =
+  List.iter
+    (fun domains ->
+      check_counts
+        (Printf.sprintf "drop-second-snapshot domains=%d" domains)
+        (alg1_counts ~mutation:Algorithm1.Drop_second_snapshot ~alpha:wf2
+           ~domains ())
+        [ 1829; 0; 4610; 3; 273 ];
+      check_counts
+        (Printf.sprintf "1-OF skip-wait domains=%d" domains)
+        (alg1_counts ~mutation:Algorithm1.Skip_wait ~alpha:kof1 ~domains ())
+        [ 175; 0; 328; 1; 66 ])
+    [ 1; 2 ]
+
+(* The biased view drops a process's own pair, so its outputs encode no
+   chromatic simplex at all: [in-ra] must report that as a violation,
+   not raise. *)
+let test_biased_view_exhaustive () =
+  List.iter
+    (fun domains ->
+      check_counts
+        (Printf.sprintf "biased-view domains=%d" domains)
+        (alg1_counts ~mutation:Algorithm1.Biased_view ~alpha:wf2 ~domains ())
+        [ 4825; 0; 14762; 3; 1512 ])
+    [ 1; 2 ]
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   let qt = QCheck_alcotest.to_alcotest in
@@ -447,4 +509,10 @@ let suite =
     Alcotest.test_case "shrinking never fakes liveness" `Quick
       test_shrink_never_fakes_liveness;
     Alcotest.test_case "resume mid-violation" `Quick test_resume_mid_violation;
+    Alcotest.test_case "alg1 1-OF fingerprint across domains" `Slow
+      test_fingerprint_alg1_kof1;
+    Alcotest.test_case "alg1 mutant counts across domains" `Slow
+      test_mutant_counts;
+    Alcotest.test_case "biased-view explored to exhaustion" `Slow
+      test_biased_view_exhaustive;
   ]

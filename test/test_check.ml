@@ -33,8 +33,7 @@ let test_trace_roundtrip () =
     "((n 3) (participants (0 1 2)) (decisions (s0 s1 c2 s0)))" s;
   (match Trace.of_string s with
   | Ok tr2 -> check_bool "round-trip" true (Trace.equal tr tr2)
-  | Error e -> Alcotest.failf "parse failed: %s" e);
-  check "crashes" 1 (Pset.cardinal (Trace.crashes tr))
+  | Error e -> Alcotest.failf "parse failed: %s" e)
 
 let test_trace_parse_errors () =
   let bad s =
@@ -631,6 +630,53 @@ let test_explore_before_sees_order () =
   check_bool "exhaustive" true stats.Explore.exhausted;
   check_bool "violation found" true (stats.Explore.violations <> [])
 
+(* The [in-ra] verdict the explorer records (memoized per subject
+   instance) equals [alg1_prop] on every counted run: exactly the runs
+   whose outputs [alg1_prop] puts outside R_A are violations, in the
+   same order. The mutants make both verdicts occur. *)
+let test_in_ra_memo_equals_prop () =
+  let p2 = Pset.full 2 in
+  let wf2 = Agreement.of_adversary (Adversary.wait_free 2) in
+  let config = Explore.config ~max_crashes:1 ~crashable:p2 ~max_depth:64 () in
+  let outside ?mutation ~alpha name =
+    let ra = Ra.complex alpha ~n:2 in
+    let expected = ref [] and counted = ref 0 in
+    let classify (o : _ Explore.outcome) =
+      incr counted;
+      if not (Harness.alg1_prop ~ra o.report) then
+        expected := Trace.to_string o.trace :: !expected;
+      None
+    in
+    let stats =
+      Explore.explore ~config ~classify ~domains:1 ~n:2 ~participants:p2
+        ~subject:
+          (Harness.alg1_subject ?mutation ~assertion:(Assertion.Named "in-ra")
+             ~alpha ~participants:p2 ())
+        ()
+    in
+    check (name ^ " every counted run classified")
+      (stats.Explore.runs + stats.Explore.truncated)
+      !counted;
+    Alcotest.(check (list string))
+      (name ^ " violations = runs outside R_A")
+      (List.rev !expected)
+      (List.map
+         (fun (v : _ Explore.outcome) -> Trace.to_string v.trace)
+         stats.Explore.violations);
+    List.length !expected
+  in
+  let v =
+    [
+      outside "intact" ~alpha:wf2;
+      outside "drop-second-snapshot" ~alpha:wf2
+        ~mutation:Algorithm1.Drop_second_snapshot;
+      outside "biased-view" ~alpha:wf2 ~mutation:Algorithm1.Biased_view;
+      outside "1-OF skip-wait" ~alpha:alpha_1of2
+        ~mutation:Algorithm1.Skip_wait;
+    ]
+  in
+  Alcotest.(check (list int)) "violations per subject" [ 0; 273; 1512; 66 ] v
+
 let suite =
   [
     ("trace: round-trip", `Quick, test_trace_roundtrip);
@@ -661,4 +707,5 @@ let suite =
     ("parallel explore: budgeted runs identical at 1/2/4 domains", `Slow, test_explore_budget_identical);
     ("explore: branching from saved states equals replay", `Slow, test_branching_equals_replay);
     ("explore: before assertions see step order", `Quick, test_explore_before_sees_order);
+    ("explore: memoized in-ra equals alg1_prop", `Slow, test_in_ra_memo_equals_prop);
   ]

@@ -746,6 +746,41 @@ let test_cli_adversary_resolver () =
   let ok_code, _ = run [ "analyze"; "-n"; "3"; "--preset"; "k-of:1" ] in
   check "good preset" 0 ok_code
 
+(* A universe too large to build is refused with a typed Precondition
+   before anything is allocated, by the one-shot CLI as by the query
+   service; payloads of accepted sizes are unchanged. *)
+let test_query_size_bound () =
+  let refused name q =
+    match Query.eval q with
+    | _ -> Alcotest.failf "%s: expected a Precondition" name
+    | exception Fact_error.Error (Fact_error.Precondition _) -> ()
+  in
+  let wf = Query.Preset "wait-free" in
+  refused "ra n=40" (Query.Ra { n = 40; adv = wf });
+  refused "ra n=63" (Query.Ra { n = 63; adv = wf });
+  refused "chr n=40 m=2" (Query.Chr { n = 40; m = 2 });
+  refused "chr n=2 m=14" (Query.Chr { n = 2; m = 14 });
+  refused "chr n=-1" (Query.Chr { n = -1; m = 1 });
+  refused "critical n=40" (Query.Critical { n = 40; adv = wf });
+  refused "explore alg1 n=40"
+    (Query.Explore { protocol = "alg1"; n = 40; max_runs = 1 });
+  check_string "chr n=0 payload"
+    "Chr^1 s (n=0): n=0 facets=0 dim=-1 pure=true\n\
+     simplices: 0  euler characteristic: 0\n"
+    (Query.eval (Query.Chr { n = 0; m = 1 }));
+  check_string "chr n=3 m=2 payload"
+    "Chr^2 s (n=3): n=3 facets=169 dim=2 pure=true\n\
+     simplices: 535  euler characteristic: 1\n"
+    (Query.eval (Query.Chr { n = 3; m = 2 }));
+  let exit_code args =
+    Sys.command
+      (Filename.quote_command "../bin/fact_cli.exe" args
+         ~stdout:Filename.null ~stderr:Filename.null)
+  in
+  check "fact chr -n 40 -m 2" 2 (exit_code [ "chr"; "-n"; "40"; "-m"; "2" ]);
+  check "fact explore -n 40" 2
+    (exit_code [ "explore"; "-n"; "40"; "--max-runs"; "1" ])
+
 let suite =
   [
     Alcotest.test_case "sexp roundtrip" `Quick test_sexp_roundtrip;
@@ -779,4 +814,5 @@ let suite =
       test_concurrent_no_interleave;
     Alcotest.test_case "cli: one adversary resolver" `Quick
       test_cli_adversary_resolver;
+    Alcotest.test_case "query size bound typed" `Quick test_query_size_bound;
   ]
