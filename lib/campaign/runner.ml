@@ -142,7 +142,9 @@ let group_by_env cells =
     cells;
   List.rev_map (fun key -> (key, List.rev (Hashtbl.find tbl key))) !keys
 
-let run_local ~log pending =
+(* Each group persists through [finished] as soon as its fan-out
+   returns, so a run killed in a later group keeps the earlier ones. *)
+let run_local ~log ~finished pending =
   let saved_domains = Parallel.default_domains () in
   let saved_cap = Cache.default_cap () in
   Fun.protect
@@ -150,7 +152,7 @@ let run_local ~log pending =
       Parallel.set_default_domains saved_domains;
       Cache.set_default_cap saved_cap)
     (fun () ->
-      List.concat_map
+      List.iter
         (fun ((domains, cache_cap), cells) ->
           Parallel.set_default_domains domains;
           Cache.set_default_cap (Option.value cache_cap ~default:saved_cap);
@@ -168,7 +170,8 @@ let run_local ~log pending =
                | Error captured ->
                  (* run_cell_local catches every typed error, so a
                     captured exception here is a genuine bug *)
-                 Parallel.reraise captured))
+                 Parallel.reraise captured)
+          |> List.iter finished)
         (group_by_env pending))
 
 (* ------------------------------- run ------------------------------- *)
@@ -185,21 +188,20 @@ let run ?(log = fun _ -> ()) ~backend ~dir spec =
   let skipped = List.length skipped in
   if skipped > 0 then
     log (Printf.sprintf "resume: %d of %d cells already done" skipped total);
-  let executed =
-    match backend with
-    | Local -> run_local ~log pending
-    | Serve { addr; retries; backoff; timeout_s } ->
-      List.map (run_cell_serve ~addr ~retries ~backoff ~timeout_s) pending
+  let ran = ref 0 and ok = ref 0 and failed = ref 0 in
+  let finished ex =
+    incr ran;
+    match persist ~log ~backend ~dir ex with
+    | `Ok -> incr ok
+    | `Failed -> incr failed
   in
-  let ok, failed =
-    List.fold_left
-      (fun (ok, failed) ex ->
-        match persist ~log ~backend ~dir ex with
-        | `Ok -> (ok + 1, failed)
-        | `Failed -> (ok, failed + 1))
-      (0, 0) executed
-  in
-  let p = { total; ran = List.length executed; skipped; ok; failed } in
+  (match backend with
+  | Local -> run_local ~log ~finished pending
+  | Serve { addr; retries; backoff; timeout_s } ->
+    List.iter
+      (fun c -> finished (run_cell_serve ~addr ~retries ~backoff ~timeout_s c))
+      pending);
+  let p = { total; ran = !ran; skipped; ok = !ok; failed = !failed } in
   log
     (Printf.sprintf "campaign %s: total=%d ran=%d skipped=%d ok=%d failed=%d"
        (Grid.name spec) p.total p.ran p.skipped p.ok p.failed);

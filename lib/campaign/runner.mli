@@ -53,4 +53,8 @@ val run :
   Grid.spec ->
   progress
 (** Initializes [dir]'s layout, executes every pending cell, writes
-    results. [log] receives one line per cell plus a summary. *)
+    results. Results are written as cells finish: a {!Local} group as
+    soon as its fan-out returns, a {!Serve} cell as soon as it is
+    answered, so a run that dies part-way leaves every finished group
+    or cell to resume from. [log] receives one line per group and per
+    cell plus a summary. *)

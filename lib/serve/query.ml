@@ -117,19 +117,49 @@ let of_sexp sx =
 
 let fail fmt = Printf.ksprintf (Fact_error.precondition ~fn:"Query.eval") fmt
 
+(* A preset's live sets are the subsets of [{0..n-1}] whose size lies
+   in [lo..hi]: [Σ C(n, k)] of them, counted before any is built (over
+   one Pascal row that saturates just above the bound, so no
+   overflow). *)
+let max_live_sets = 1 lsl 20
+
+let bounded_preset ~n p ~lo ~hi build =
+  if n < 0 || n > Pset.max_processes then
+    fail "preset %s needs 0 <= n <= %d, got n = %d" p Pset.max_processes n;
+  let cap = max_live_sets + 1 in
+  let row = Array.make (n + 1) 0 in
+  row.(0) <- 1;
+  for i = 1 to n do
+    for k = i downto 1 do
+      row.(k) <- min cap (row.(k) + row.(k - 1))
+    done
+  done;
+  let count = ref 0 in
+  for k = lo to hi do
+    count := min cap (!count + row.(k))
+  done;
+  if !count > max_live_sets then
+    fail "preset %s at n = %d has more than %d live sets" p n max_live_sets;
+  build ()
+
 let adversary ~n = function
   | Preset p -> (
     match String.split_on_char ':' p with
-    | [ "wait-free" ] -> Adversary.wait_free n
+    | [ "wait-free" ] ->
+      bounded_preset ~n p ~lo:1 ~hi:n (fun () -> Adversary.wait_free n)
     | [ "fig5b" ] -> Adversary.fig5b
     | [ "t-res"; t ] -> (
       match int_of_string_opt t with
-      | Some t when t >= 0 && t < n -> Adversary.t_resilient ~n ~t
+      | Some t when t >= 0 && t < n ->
+        bounded_preset ~n p ~lo:(n - t) ~hi:n (fun () ->
+            Adversary.t_resilient ~n ~t)
       | Some t -> fail "t-res:%d needs 0 <= t < n = %d" t n
       | None -> fail "bad t-res parameter %S" t)
     | [ "k-of"; k ] -> (
       match int_of_string_opt k with
-      | Some k when k >= 1 && k <= n -> Adversary.k_obstruction_free ~n ~k
+      | Some k when k >= 1 && k <= n ->
+        bounded_preset ~n p ~lo:1 ~hi:k (fun () ->
+            Adversary.k_obstruction_free ~n ~k)
       | Some k -> fail "k-of:%d needs 1 <= k <= n = %d" k n
       | None -> fail "bad k-of parameter %S" k)
     | _ -> fail "unknown preset %S" p)

@@ -1,15 +1,14 @@
 (* A complex stores its facets as a strictly ascending [Simplex.t]
    array (ascending by [Simplex.compare] — exactly the order
    [Simplex.Set.elements] used to produce), so the canonical form is
-   unique and [facets]/[equal]/iteration need no Set at all. The Set
-   view, the flat arena view, the closure and the Euler characteristic
-   are all derived lazily and cached; the array is never mutated after
+   unique and [facets]/[equal]/iteration need no Set at all. The flat
+   arena view, the closure and the Euler characteristic are all
+   derived lazily and cached; the array is never mutated after
    construction. *)
 
 type t = {
   n : int;
   arr : Simplex.t array; (* strictly ascending by Simplex.compare *)
-  mutable set_cache : Simplex.Set.t option;
   mutable arena_cache : Arena.t option;
   mutable closure_cache : Simplex.Set.t option;
   mutable euler_cache : int option;
@@ -107,7 +106,6 @@ let of_arr ~n arr =
   {
     n;
     arr;
-    set_cache = None;
     arena_cache = None;
     closure_cache = None;
     euler_cache = None;
@@ -119,17 +117,6 @@ let of_facets ~n gens =
 
 let n t = t.n
 let facets t = Array.to_list t.arr
-
-let facet_set t =
-  match t.set_cache with
-  | Some s -> s
-  | None ->
-    let s =
-      Array.fold_left (fun acc f -> Simplex.Set.add f acc) Simplex.Set.empty
-        t.arr
-    in
-    t.set_cache <- Some s;
-    s
 
 let arena t =
   match t.arena_cache with
@@ -169,10 +156,6 @@ let fold_faces ?(min_card = 1) ?(max_card = max_int) t ~init ~f =
     let r = Arena.fold_faces ~seen ~min_card ~max_card (arena t) ~init ~f in
     Face_set.release seen;
     r
-
-let iter_faces ?min_card ?max_card t ~f =
-  fold_faces ?min_card ?max_card t ~init:() ~f:(fun () ~card ~face ->
-      f ~card ~face)
 
 let closure_set t =
   match t.closure_cache with
@@ -232,8 +215,6 @@ let skeleton k t =
     of_facets ~n:t.n gens
   end
 
-let closure ~n gens = of_facets ~n gens
-
 let star gens t =
   let gen_set = Simplex.Set.of_list gens in
   all_simplices t
@@ -253,18 +234,8 @@ let pure_complement gens t =
    restriction of the complex to the geometric face spanned by
    [colors]. *)
 let restrict_colors colors t =
-  let gens =
-    Array.fold_left
-      (fun acc f ->
-        let vs =
-          List.filter
-            (fun v -> Pset.subset (Vertex.base_carrier v) colors)
-            (Simplex.vertices f)
-        in
-        match vs with [] -> acc | _ -> Simplex.make vs :: acc)
-      [] t.arr
-  in
-  of_facets ~n:t.n gens
+  of_facets ~n:t.n
+    (Array.to_list (Array.map (fun f -> Simplex.restrict_base f colors) t.arr))
 
 (* dim even ⟺ card odd; streams when the closure cache is cold, so
    the alternating sum needs no simplex construction at all. *)

@@ -16,7 +16,6 @@ val n : t -> int
 (** Number of colors of the universe. *)
 
 val facets : t -> Simplex.t list
-val facet_set : t -> Simplex.Set.t
 val facet_count : t -> int
 val is_empty : t -> bool
 
@@ -43,14 +42,6 @@ val fold_faces :
     allocates no simplices. Folds over the cached closure instead when
     one is already present. Enumeration order is unspecified. *)
 
-val iter_faces :
-  ?min_card:int ->
-  ?max_card:int ->
-  t ->
-  f:(card:int -> face:(unit -> Simplex.t) -> unit) ->
-  unit
-(** {!fold_faces} with a unit accumulator. *)
-
 val simplex_count : t -> int
 (** Number of nonempty simplices of the complex. Streams via
     {!fold_faces} when the closure is not cached (and does not
@@ -69,10 +60,6 @@ val skeleton : int -> t -> t
 (** [skeleton k c]: sub-complex of simplices of dimension ≤ k.
     Streams only the dimension-[k] slice of the closure. *)
 
-val closure : n:int -> Simplex.t list -> t
-(** [Cl(S)]: the complex of all faces of the given simplices — same as
-    {!of_facets} (kept as a separate name to mirror the paper). *)
-
 val star : Simplex.t list -> t -> Simplex.t list
 (** [St(S, K)]: all simplices of [K] having a face in [S] (paper
     notation: simplices whose face set intersects [S]). *)
@@ -85,7 +72,11 @@ val pure_complement : Simplex.t list -> t -> t
 val restrict_colors : Pset.t -> t -> t
 (** Sub-complex of simplices whose base carrier is contained in the
     given color set. For [Chr^ℓ s] and a face σ ⊆ s this is exactly
-    [Chr^ℓ(σ)]; for an affine task [L] it computes [∆(σ) = L ∩ Chr^ℓ(σ)]. *)
+    [Chr^ℓ(σ)]; for an affine task [L] it computes [∆(σ) = L ∩ Chr^ℓ(σ)].
+    Each facet is cut down by {!Simplex.restrict_base} (O(k), the
+    per-vertex base carriers stored at construction, no lock or
+    re-interning); the cost is that plus {!of_facets} on the cut
+    facets. *)
 
 val euler_characteristic : t -> int
 (** Σ (−1)^dim over all simplices. 1 for any [Chr^m s] (contractible).

@@ -230,6 +230,9 @@ let select t keep =
 let restrict t s =
   select t (Array.map (fun v -> Pset.mem (Vertex.proc v) s) t.varr)
 
+let restrict_base t s =
+  select t (Array.map (fun i -> Pset.subset i.vbc s) t.info)
+
 let diff a b = select a (Array.map (fun i -> not (key_mem i.vid b.key)) a.info)
 let inter a b = select a (Array.map (fun i -> key_mem i.vid b.key) a.info)
 
@@ -412,7 +415,6 @@ module Ord = struct
 end
 
 module Set = Set.Make (Ord)
-module Map = Map.Make (Ord)
 
 let hash t = t.shash land max_int
 

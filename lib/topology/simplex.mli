@@ -53,6 +53,11 @@ val subset : t -> t -> bool
 val restrict : t -> Pset.t -> t
 (** Sub-simplex of the vertices whose color lies in the given set. *)
 
+val restrict_base : t -> Pset.t -> t
+(** Sub-simplex of the vertices whose base carrier
+    ({!Vertex.base_carrier}) lies in the given set. Reads the base
+    carrier stored per vertex at construction: O(k), no lock. *)
+
 val union : t -> t -> t
 (** Union as vertex sets. Raises [Invalid_argument] if two distinct
     vertices share a color. *)
@@ -132,5 +137,4 @@ val hash : t -> int
 val pp : Format.formatter -> t -> unit
 
 module Set : Set.S with type elt = t
-module Map : Map.S with type key = t
 module Tbl : Hashtbl.S with type key = t

@@ -151,15 +151,6 @@ let id v =
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) (fun () ->
       intern_locked v)
 
-let strong_hash v =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) (fun () ->
-      !hash_store.(intern_locked v))
-
-let interned_count () =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) (fun () -> !size)
-
 let intern_list vs =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) (fun () ->

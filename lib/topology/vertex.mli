@@ -67,19 +67,17 @@ val pp : Format.formatter -> t -> unit
     from multiple domains; ids are process-local (their numbering
     depends on intern order), so they must only be used for equality,
     hashing and memo keys — ordering of observable results must use
-    {!strong_hash} or structural {!compare}, which are deterministic. *)
+    the structural hash (see {!intern_list}) or structural {!compare},
+    which are deterministic. *)
 
 val id : t -> int
 (** The dense intern id of the vertex (interning it if needed). *)
 
-val strong_hash : t -> int
-(** A full-depth structural hash, memoized per id. Deterministic: it
-    depends only on the structure of the vertex, never on intern
-    order. *)
-
 val intern_list : t list -> (int * int * Pset.t) list
-(** [(id, strong_hash, base_carrier)] for each vertex, taking the
-    intern lock once for the whole batch. Used by {!Simplex.make}. *)
+(** [(id, hash, base_carrier)] for each vertex, taking the intern lock
+    once for the whole batch. [hash] is a full-depth structural hash,
+    memoized per id; it depends only on the structure of the vertex,
+    never on intern order. Used by {!Simplex.make}. *)
 
 val intern_deriv_list : (int * int list) list -> (int * int * Pset.t) list
 (** Shallow batch interning of derived vertices: each entry is
@@ -87,6 +85,3 @@ val intern_deriv_list : (int * int list) list -> (int * int * Pset.t) list
     interned (in carrier order). Agrees with {!intern_list} on ids,
     hashes and base carriers, but costs O(carrier) per vertex instead
     of a full tree walk. Used by {!Simplex.of_chr_pairs}. *)
-
-val interned_count : unit -> int
-(** Number of distinct vertices interned so far (for diagnostics). *)

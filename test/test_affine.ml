@@ -454,6 +454,101 @@ let test_link_connectivity_of_affine_tasks () =
      link-connected. *)
   check_bool "Chr^2 link-connected" true (Link.is_link_connected chr2_3)
 
+(* The definitions the report kernels replaced, kept as oracles: the
+   link of every vertex built as a complex and checked by union-find
+   over its closure, and the restriction filtering each facet's
+   vertices by their recomputed base carrier, then re-interning. *)
+let reference_disconnected k =
+  List.filter
+    (fun v -> not (Link.is_connected (Link.link (Simplex.of_vertex v) k)))
+    (Complex.vertices k)
+
+let reference_restrict_colors colors k =
+  Complex.of_facets ~n:(Complex.n k)
+    (List.filter_map
+       (fun f ->
+         match
+           List.filter
+             (fun v -> Pset.subset (Vertex.base_carrier v) colors)
+             (Simplex.vertices f)
+         with
+         | [] -> None
+         | vs -> Some (Simplex.make vs))
+       (Complex.facets k))
+
+(* Every fair adversary over [n] processes, live sets in bitmask
+   order: 5 at n = 2, 43 at n = 3. *)
+let fair_adversaries n =
+  let subsets = List.init ((1 lsl n) - 1) (fun i -> Pset.of_mask (i + 1)) in
+  List.init ((1 lsl List.length subsets) - 1) (fun c -> c + 1)
+  |> List.map (fun c ->
+         Adversary.make ~n
+           (List.filteri (fun i _ -> c land (1 lsl i) <> 0) subsets))
+  |> List.filter Fairness.is_fair
+
+let fair_ra = List.concat_map fair_adversaries [ 2; 3 ]
+
+(* Two discs pinched at [p0]: the link of the apex is two disjoint
+   4-cycles, so counting components as vertices minus edges would
+   call it connected. *)
+let pinched_discs =
+  let v = Vertex.input in
+  let disc w =
+    let r = [| v 1 w; v 2 w; v 1 (w + 1); v 2 (w + 1) |] in
+    List.init 4 (fun i -> Simplex.make [ v 0 0; r.(i); r.((i + 1) mod 4) ])
+  in
+  Complex.of_facets ~n:3 (disc 0 @ disc 2)
+
+let test_report_kernels_match_reference () =
+  let chr1_4 = Chr.subdivide (Chr.standard 4) in
+  let complexes =
+    List.map
+      (fun a ->
+        ( Format.asprintf "R_A %a" Adversary.pp a,
+          Affine_task.complex (Ra.of_adversary a) ))
+      fair_ra
+    @ [ ("R_1-res", Rtres.complex ~n:3 ~t:1); ("Chr s n=3", chr1_3);
+        ("Chr^2 s n=3", chr2_3); ("Chr s n=4", chr1_4);
+        ("pinched discs", pinched_discs) ]
+  in
+  check "fair adversaries at n = 2, 3" 48 (List.length fair_ra);
+  let disconnected = ref 0 in
+  List.iter
+    (fun (name, c) ->
+      let expected = reference_disconnected c in
+      if expected <> [] then incr disconnected;
+      check_bool (name ^ ": link verdict") (expected = [])
+        (Link.is_link_connected c);
+      check_bool (name ^ ": disconnected vertices, in order") true
+        (List.equal Vertex.equal expected (Link.disconnected_vertices c));
+      List.iter
+        (fun p ->
+          check_bool
+            (Format.asprintf "%s: delta(%a)" name Pset.pp p)
+            true
+            (Complex.equal (reference_restrict_colors p c)
+               (Complex.restrict_colors p c)))
+        (Pset.nonempty_subsets (Pset.full (Complex.n c))))
+    complexes;
+  (* both verdicts occur, so neither kernel passes by being constant *)
+  check_bool "some complex is not link-connected" true (!disconnected > 0)
+
+(* The [ra] payloads of all 48 fair adversaries (n = 2 then 3), as
+   rendered before the report kernels were rewritten. *)
+let test_ra_payloads_pinned () =
+  let payloads =
+    List.map
+      (fun a ->
+        Fact_serve.Query.eval
+          (Fact_serve.Query.Ra
+             { n = Adversary.n a;
+               adv = Live (List.map Pset.to_list (Adversary.live_sets a)) }))
+      fair_ra
+  in
+  Alcotest.(check string) "md5 of the concatenated payloads"
+    "015d384506dc25e5a6bd20e04950e2f4"
+    (Digest.to_hex (Digest.string (String.concat "" payloads)))
+
 (* ------------------------------------------------------------------ *)
 (* Property tests                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -531,6 +626,9 @@ let suite =
       ("µ_Q errors", `Quick, test_mu_errors);
       ("link-connectivity of affine tasks (§8)", `Quick,
        test_link_connectivity_of_affine_tasks);
+      ("report kernels = reference definitions", `Quick,
+       test_report_kernels_match_reference);
+      ("ra payloads pinned (48 fair adversaries)", `Quick, test_ra_payloads_pinned);
       QCheck_alcotest.to_alcotest prop_cont2_inclusion_closed;
       QCheck_alcotest.to_alcotest prop_ra_facets_pass_their_own_check;
       QCheck_alcotest.to_alcotest prop_mu_agreement_random_adversary;

@@ -138,6 +138,46 @@ let test_resume_skips_completed () =
       check "second run ran none" 0 p2.Runner.ran;
       check "second run skipped all" 2 p2.Runner.skipped)
 
+(* A run that dies at the second group's start keeps the first
+   group's results on disk, and the rerun resumes from them. *)
+let test_groups_persist_as_they_finish () =
+  let dir = fresh_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let spec =
+        spec_of_string
+          "((name groups) (seed 7) (axes ((endpoint (ra)) (adversary \
+           (wait-free t-res:1)) (n (2)) (domains (1 2)))))"
+      in
+      let groups = ref 0 in
+      let log line =
+        if String.starts_with ~prefix:"group " line then begin
+          incr groups;
+          if !groups = 2 then raise Exit
+        end
+      in
+      (match Runner.run ~log ~backend:Runner.Local ~dir spec with
+      | _ -> Alcotest.fail "the log was expected to raise"
+      | exception Exit -> ());
+      let done_ =
+        List.filter
+          (fun c -> Results.completed ~dir ~digest:(Grid.digest c))
+          (Grid.cells spec)
+      in
+      check "first group persisted" 2 (List.length done_);
+      check_bool "all from the first group" true
+        (List.for_all (fun c -> c.Grid.domains = 1) done_);
+      let lines = ref [] in
+      let p =
+        Runner.run ~log:(fun l -> lines := l :: !lines) ~backend:Runner.Local
+          ~dir spec
+      in
+      check "rerun runs the rest" 2 p.Runner.ran;
+      check "rerun skips the first group" 2 p.Runner.skipped;
+      check_bool "rerun logs the resume" true
+        (List.mem "resume: 2 of 4 cells already done" !lines))
+
 let test_corrupt_result_quarantined () =
   let dir = fresh_dir () in
   Fun.protect
@@ -398,6 +438,8 @@ let suite =
       test_canonicalization_dedups;
     Alcotest.test_case "resume skips completed" `Quick
       test_resume_skips_completed;
+    Alcotest.test_case "groups persist as they finish" `Quick
+      test_groups_persist_as_they_finish;
     Alcotest.test_case "corrupt result quarantined" `Quick
       test_corrupt_result_quarantined;
     Alcotest.test_case "local vs serve byte-identical" `Quick

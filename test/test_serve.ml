@@ -256,8 +256,11 @@ let payload_of = function
 let test_scheduler_dedup () =
   let sched = Scheduler.create () in
   (* occupy the executor with a slow job, then race two identical
-     queries: the second must join the first's in-flight job *)
-  let slow = Query.Explore { protocol = "alg1"; n = 2; max_runs = 20_000 } in
+     queries: the second must join the first's in-flight job. The slow
+     job must outlast the delay below plus a few thread-switch ticks
+     (about 0.3 s on one core; alg1 n = 2 ends in about 20 ms, before
+     the racers start) *)
+  let slow = Query.Explore { protocol = "is"; n = 4; max_runs = 100_000 } in
   let slow_t =
     Thread.create (fun () -> ignore (Scheduler.submit sched slow)) ()
   in
@@ -764,6 +767,27 @@ let test_query_size_bound () =
   refused "critical n=40" (Query.Critical { n = 40; adv = wf });
   refused "explore alg1 n=40"
     (Query.Explore { protocol = "alg1"; n = 40; max_runs = 1 });
+  (* presets are counted before they are built: 2^24 and 2^40 live
+     sets are refused at once, explicit live sets are not counted *)
+  let t0 = Unix.gettimeofday () in
+  List.iter
+    (fun n ->
+      refused (Printf.sprintf "setcon n=%d" n) (Query.Setcon { n; adv = wf });
+      refused (Printf.sprintf "fairness n=%d" n) (Query.Fairness { n; adv = wf });
+      refused (Printf.sprintf "k-of:%d n=%d" n n)
+        (Query.Setcon { n; adv = Query.Preset (Printf.sprintf "k-of:%d" n) }))
+    [ 24; 40 ];
+  refused "setcon n=63" (Query.Setcon { n = 63; adv = wf });
+  refused "fairness n=-1" (Query.Fairness { n = -1; adv = wf });
+  check_bool "refused before building" true (Unix.gettimeofday () -. t0 < 1.);
+  check_bool "t-res:1 at n=24 is small" true
+    (Fact_adversary.Adversary.cardinal
+       (Query.adversary ~n:24 (Query.Preset "t-res:1"))
+    = 25);
+  check_bool "explicit live sets at n=24" true
+    (String.length
+       (Query.eval (Query.Setcon { n = 24; adv = Query.Live [ [ 0 ]; [ 23 ] ] }))
+    > 0);
   check_string "chr n=0 payload"
     "Chr^1 s (n=0): n=0 facets=0 dim=-1 pure=true\n\
      simplices: 0  euler characteristic: 0\n"
@@ -779,7 +803,9 @@ let test_query_size_bound () =
   in
   check "fact chr -n 40 -m 2" 2 (exit_code [ "chr"; "-n"; "40"; "-m"; "2" ]);
   check "fact explore -n 40" 2
-    (exit_code [ "explore"; "-n"; "40"; "--max-runs"; "1" ])
+    (exit_code [ "explore"; "-n"; "40"; "--max-runs"; "1" ]);
+  check "fact analyze -n 24 --preset wait-free" 2
+    (exit_code [ "analyze"; "-n"; "24"; "--preset"; "wait-free" ])
 
 let suite =
   [
