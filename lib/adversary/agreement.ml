@@ -2,14 +2,50 @@ open Fact_topology
 
 type t = { n : int; table : int array; stamp : int }
 
-(* Each constructed agreement function gets a unique stamp, so caches
-   downstream (Critical, Concurrency, Ra) can key memo tables on it
-   without hashing the whole table. *)
-let next_stamp = Atomic.make 0
+(* Stamps are interned by table, so the caches downstream (Critical,
+   Concurrency, Ra) key their memos on an int and still hit across
+   separately built equal functions. A stamp is an identity, not a
+   recomputable value: the table is dropped whole once it holds more
+   than [intern_cap] cells (an equal function built later then gets a
+   fresh stamp, so caches are merely less shared), and no stamp is
+   ever given to two different tables. The length of a table is [2^n],
+   so equal tables have equal [n]. *)
+module Tables = Hashtbl.Make (struct
+  type t = int array
+
+  let equal a b =
+    Array.length a = Array.length b
+    &&
+    let rec go i = i < 0 || (a.(i) = b.(i) && go (i - 1)) in
+    go (Array.length a - 1)
+
+  let hash t = Array.fold_left (fun h x -> (h * 31) + x) (Array.length t) t
+end)
+
+let intern_cap = 1 lsl 16
+let stamps : int Tables.t = Tables.create 64
+let interned_cells = ref 0
+let next_stamp = ref 0
+let intern_lock = Mutex.create ()
+
+let intern table =
+  Mutex.protect intern_lock (fun () ->
+      match Tables.find_opt stamps table with
+      | Some s -> s
+      | None ->
+        if !interned_cells + Array.length table > intern_cap then begin
+          Tables.reset stamps;
+          interned_cells := 0
+        end;
+        let s = !next_stamp in
+        incr next_stamp;
+        Tables.replace stamps table s;
+        interned_cells := !interned_cells + Array.length table;
+        s)
 
 let of_fn ~n f =
   let table = Array.init (1 lsl n) (fun m -> f (Pset.of_mask m)) in
-  { n; table; stamp = Atomic.fetch_and_add next_stamp 1 }
+  { n; table; stamp = intern table }
 
 let of_adversary a =
   let alpha = Setcon.alpha_fn a in

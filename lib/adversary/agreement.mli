@@ -16,10 +16,11 @@ val of_fn : n:int -> (Pset.t -> int) -> t
 val n : t -> int
 
 val stamp : t -> int
-(** A unique id per constructed agreement function, for use as a memo
-    key downstream (two structurally equal functions built separately
-    get distinct stamps — caches are merely less shared, never
-    wrong). *)
+(** An id of the function's table, for use as a memo key downstream:
+    two functions with different tables never share a stamp, and two
+    equal ones built separately share it unless the bounded intern
+    table was reset between them (caches are then merely less shared,
+    never wrong). *)
 
 val eval : t -> Pset.t -> int
 (** α(P). *)

@@ -9,6 +9,7 @@ let violations a =
       let ap = alpha p in
       List.filter_map
         (fun q ->
+          Fact_resilience.Cancel.poll ~where:"Fairness.violations";
           let got =
             Setcon.setcon_collection ~n
               (Adversary.live_sets (Adversary.restrict2 a ~p ~q))

@@ -2,13 +2,15 @@ open Fact_topology
 
 (* Definition 1, memoized on the restriction set P: the recursion only
    ever restricts the collection to live sets included in some P, so
-   the state is fully described by P. *)
+   the state is fully described by P. The ambient cancellation token
+   is polled once per memo miss. *)
 let setcon_fn live =
   let memo = Hashtbl.create 64 in
   let rec go p =
     match Hashtbl.find_opt memo (Pset.to_mask p) with
     | Some v -> v
     | None ->
+      Fact_resilience.Cancel.poll ~where:"Setcon.setcon_fn";
       let candidates = List.filter (fun s -> Pset.subset s p) live in
       let v =
         List.fold_left

@@ -97,40 +97,32 @@ let restore_viols ~n ~participants ~subject viols =
       | Error _ -> Some { report; trace = tr; truncated })
     viols
 
-(* A node of the decision tree, one per depth of the current DFS path.
-   [enabled] is fixed at node creation; [chosen] is the decision of the
-   current run; [done_] accumulates fully-explored siblings; [sleep0]
-   is the node's inherited sleep set. [state] and [events] are the
-   machine and the event log right before the node's decision: a run
-   that branches here restores them and executes only its new suffix.
-   The pending operations of [state] drive the independence checks. *)
-type 'r node = {
-  mutable chosen : Trace.decision;
-  mutable done_ : Trace.decision list;
-  sleep0 : Trace.decision list;
-  enabled : Trace.decision list;
-  crashes_before : int;
-  state : 'r Exec.state;
-  events : Subject.event list;
-}
+(* Decisions as int codes: [Step p] is [p] and [Crash p] is [n + p].
+   Increasing code order is a node's enabled order (steps by pid, then
+   crashes by pid), so a set of decisions is an int mask whose lowest
+   bit is the DFS's next choice. [explore] keeps [2n] within a mask. *)
+let code ~n = function Trace.Step p -> p | Trace.Crash p -> n + p
 
-(* Independence of two decisions available at the same node: used both
-   to filter sleep sets through a fired transition and to justify not
-   exploring both orders. Crash(p) commutes with any decision of
-   another process except another crash (two crashes compete for the
-   same budget, so firing one can disable the other). Decisions of two
-   distinct processes of [ordered] never commute: the subject's verdict
-   reads their relative order ({!Assertion.ordered}). *)
-let independent ~ordered node d1 d2 =
-  match (d1, d2) with
-  | Trace.Step p, Trace.Step q ->
-    p <> q
-    && not (Pset.mem p ordered && Pset.mem q ordered)
-    && Op.commute (Exec.state_pending node.state p)
-         (Exec.state_pending node.state q)
-  | Trace.Crash p, Trace.Step q | Trace.Step q, Trace.Crash p ->
-    p <> q && not (Pset.mem p ordered && Pset.mem q ordered)
-  | Trace.Crash _, Trace.Crash _ -> false
+(* The index of the lowest set bit of [m <> 0]. *)
+let lowest m =
+  let rec go m i = if m land 1 <> 0 then i else go (m lsr 1) (i + 1) in
+  go m 0
+
+(* Independence of the decision [c] that fires at a node and a decision
+   [z] available at the same node, both as codes: it decides whether
+   [z] stays asleep below [c], and so justifies not exploring both
+   orders. Crash(p) commutes with any decision of another process
+   except another crash (two crashes compete for the same budget, so
+   firing one can disable the other). Decisions of two distinct
+   processes of [ordered] never commute: the subject's verdict reads
+   their relative order ({!Assertion.ordered}). Two steps commute when
+   their pending operations do: [pc] is [c]'s, and [z]'s is read from
+   [m], in which only [c]'s process has moved since the node. *)
+let independent ~n ~ordered m ~pc c z =
+  let p = if c < n then c else c - n and q = if z < n then z else z - n in
+  p <> q
+  && (not (Pset.mem p ordered && Pset.mem q ordered))
+  && if c < n then z >= n || Op.commute pc (Exec.pending m q) else z < n
 
 (* Raised by a subtree task's per-execution hook when its results can
    no longer be committed (the run budget runs out before or inside it,
@@ -142,6 +134,7 @@ type 'r core_result = {
   r_tally : tally;                 (* final counters, incl. the base *)
   r_violations : 'r outcome list;  (* incl. restored ones, oldest first *)
   r_executions : int;              (* executions performed by this call *)
+  r_cut : bool;                    (* stopped by [budget], subtree not covered *)
 }
 
 (* The DFS core of one task. [forced] replays a decision prefix (a
@@ -150,14 +143,12 @@ type 'r core_result = {
    partition and are never advanced, so the search covers exactly the
    subtree below the prefix. [budget] bounds executions performed by
    this invocation; [on_execution] runs before each one (the parallel
-   driver's abort hook). [capture = Some (d, cell)] switches to probe
+   driver's hook). [capture = Some (d, cell)] switches to probe
    mode: one execution, record into [cell] the branch decisions at
    depth [d] (enabled minus sleep set), count nothing. *)
 let explore_core ~cfg ~stop_on_violation ~classify ~base ~forced ~floor
     ~budget ~on_execution ~checkpoint_every ~on_checkpoint ~capture ~n
     ~participants ~subject () =
-  let path : _ node option array = Array.make cfg.max_depth None in
-  let plen = ref 0 in
   let runs = ref base.t_runs in
   let truncated_runs = ref base.t_truncated in
   let pruned = ref base.t_pruned in
@@ -170,71 +161,112 @@ let explore_core ~cfg ~stop_on_violation ~classify ~base ~forced ~floor
   List.iter (fun m -> Hashtbl.replace patterns m ()) base.t_patterns;
   let classes = Hashtbl.create 16 in
   List.iter (fun c -> Hashtbl.replace classes c ()) base.t_classes;
-  let forced_d = Array.of_list (List.map fst forced) in
-  let forced_done = Array.of_list (List.map snd forced) in
-  let forcing = ref (Array.length forced_d > 0) in
-  let node_at i = match path.(i) with Some nd -> nd | None -> assert false in
   let subj : _ Subject.t = subject () in
+  let ordered = subj.Subject.ordered and observed = subj.Subject.observed in
   let m = Exec.start ~n ~participants subj.Subject.procs in
+  let decision =
+    Array.init (2 * n) (fun c ->
+        if c < n then Trace.Step c else Trace.Crash (c - n))
+  in
+  let mask_of ds =
+    List.fold_left
+      (fun acc d ->
+        let c = code ~n d in
+        if c >= 0 && c < 2 * n then acc lor (1 lsl c) else acc)
+      0 ds
+  in
+  (* The decisions of [mask] in enabled (increasing code) order. The
+     DFS adds decisions to a done set in that order, so a done list,
+     newest first, is its reverse. *)
+  let decisions_of mask =
+    let l = ref [] in
+    for c = (2 * n) - 1 downto 0 do
+      if mask land (1 lsl c) <> 0 then l := decision.(c) :: !l
+    done;
+    !l
+  in
+  let forced_c = Array.of_list (List.map (fun (d, _) -> code ~n d) forced) in
+  let forced_done = Array.of_list (List.map (fun (_, dn) -> mask_of dn) forced) in
+  let forcing = ref (Array.length forced_c > 0) in
 
-  (* The decision at a fresh depth: build its node (saving the state
-     the node's siblings will branch from) and pick the first enabled
-     decision that is not asleep — or the forced one. [None] when
+  (* The DFS path, one slot per depth, allocated once: the chosen
+     decision, the enabled, done and inherited sleep masks, the crashes
+     before the node and the pending operation of the chosen process.
+     Only a node with a branch left to explore also keeps the machine
+     state and the event log right before its decision: no other node
+     is ever restored. Nodes [0 .. plen-1] make up the current path. *)
+  let size = cfg.max_depth in
+  let chosen = Array.make size 0 in
+  let enabled = Array.make size 0 in
+  let done_ = Array.make size 0 in
+  let sleep = Array.make size 0 in
+  let crashes_before = Array.make size 0 in
+  let pend = Array.make size Op.Start in
+  let logs = Array.make size [] in
+  let states = Array.make size (Exec.save m) in
+  let plen = ref 0 in
+
+  (* The sleep set a child of node [d] inherits: the node's sleeping
+     and done decisions that commute with its chosen one. *)
+  let child_sleep d =
+    let c = chosen.(d) and pc = pend.(d) in
+    let cand = ref (sleep.(d) lor done_.(d)) and acc = ref 0 in
+    while !cand <> 0 do
+      let b = !cand land - !cand in
+      cand := !cand lxor b;
+      if independent ~n ~ordered m ~pc c (lowest b) then acc := !acc lor b
+    done;
+    !acc
+  in
+
+  (* Create the node at a fresh depth and pick its decision: the forced
+     one, or the first enabled decision that is not asleep. False when
      every enabled decision is asleep. *)
   let new_node depth events =
-    let alive = Exec.alive m in
-    let parent = if depth = 0 then None else path.(depth - 1) in
-    let crashes_before =
-      match parent with
-      | None -> 0
-      | Some par ->
-        par.crashes_before
-        + (match par.chosen with Trace.Crash _ -> 1 | _ -> 0)
+    let cb =
+      if depth = 0 then 0
+      else crashes_before.(depth - 1) + if chosen.(depth - 1) >= n then 1 else 0
     in
-    let steps = List.map (fun p -> Trace.Step p) (Pset.to_list alive) in
-    let crashes =
-      if crashes_before < cfg.max_crashes then
-        List.map
-          (fun p -> Trace.Crash p)
-          (Pset.to_list (Pset.inter alive cfg.crashable))
-      else []
+    let alive = Pset.to_mask (Exec.alive m) in
+    let en =
+      if cb < cfg.max_crashes then
+        alive lor ((alive land Pset.to_mask cfg.crashable) lsl n)
+      else alive
     in
-    let enabled = steps @ crashes in
-    let sleep0 =
-      match parent with
-      | None -> []
-      | Some par ->
-        List.filter
-          (fun z -> independent ~ordered:subj.Subject.ordered par z par.chosen)
-          (par.sleep0 @ par.done_)
-    in
-    let choice =
-      if !forcing && depth < Array.length forced_d then begin
+    let sl = if depth = 0 then 0 else child_sleep (depth - 1) in
+    let forced_here = !forcing && depth < Array.length forced_c in
+    let c =
+      if forced_here then begin
         (* Resume or subtree prefix: rebuild the recorded node. The
            forced decision must still be enabled — anything else means
            the checkpoint was taken against a different protocol or
            configuration. *)
-        let d = forced_d.(depth) in
-        if not (List.mem d enabled) then
+        let c = forced_c.(depth) in
+        if c < 0 || c >= 2 * n || en land (1 lsl c) = 0 then
           Fact_resilience.Fact_error.precondition ~fn:"Explore.explore"
             "checkpoint does not match the protocol (forced decision not \
              enabled)";
-        Some (d, forced_done.(depth))
+        c
       end
       else
-        match List.find_opt (fun d -> not (List.mem d sleep0)) enabled with
-        | None -> None
-        | Some d -> Some (d, [])
+        let free = en land lnot sl in
+        if free = 0 then -1 else lowest free
     in
-    match choice with
-    | None -> None
-    | Some (d, done0) ->
-      path.(depth) <-
-        Some
-          { chosen = d; done_ = done0; sleep0; enabled; crashes_before;
-            state = Exec.save m; events };
+    let dn = if forced_here then forced_done.(depth) else 0 in
+    if c < 0 then false
+    else begin
+      chosen.(depth) <- c;
+      enabled.(depth) <- en;
+      done_.(depth) <- dn;
+      sleep.(depth) <- sl;
+      crashes_before.(depth) <- cb;
+      if depth >= floor && en land lnot (dn lor sl lor (1 lsl c)) <> 0 then begin
+        states.(depth) <- Exec.save m;
+        logs.(depth) <- events
+      end;
       plen := depth + 1;
-      Some d
+      true
+    end
   in
 
   (* One execution following the current path as prefix, extending it
@@ -244,44 +276,47 @@ let explore_core ~cfg ~stop_on_violation ~classify ~base ~forced ~floor
      whether the run was truncated (depth budget) or sleep-blocked
      (pruned). *)
   let run_once ~first =
-    let depth0, events0 =
-      if first then (0, [])
-      else begin
-        let nd = node_at (!plen - 1) in
-        Exec.restore m nd.state;
-        (!plen - 1, nd.events)
+    let depth = ref 0 and events = ref [] in
+    if not first then begin
+      depth := !plen - 1;
+      Exec.restore m states.(!depth);
+      events := logs.(!depth)
+    end;
+    let truncated = ref false and blocked = ref false and over = ref false in
+    while not !over do
+      if Pset.is_empty (Exec.alive m) then over := true
+      else if !depth >= cfg.max_depth then begin
+        truncated := true;
+        over := true
       end
-    in
-    let rec go depth events =
-      if Pset.is_empty (Exec.alive m) then (events, false, false)
-      else if depth >= cfg.max_depth then (events, true, false)
-      else
-        let decision =
-          if depth < !plen then Some (node_at depth).chosen
-          else new_node depth events
-        in
-        match decision with
-        | None ->
-          (* Every enabled decision is asleep: all continuations are
-             commutation-equivalent to already-explored runs. *)
-          (events, false, true)
-        | Some (Trace.Step p) ->
-          let events =
-            Subject.record subj
-              (Subject.Stepped { e_pid = p; e_op = Exec.pending m p })
-              events
-          in
-          Exec.step m p;
-          go (depth + 1) events
-        | Some (Trace.Crash p) ->
-          let events =
-            Subject.record subj (Subject.Crashed { e_pid = p }) events
-          in
-          Exec.crash m p;
-          go (depth + 1) events
-    in
-    let events, truncated, blocked = go depth0 events0 in
-    (Exec.report m, events, truncated, blocked)
+      else if !depth >= !plen && not (new_node !depth !events) then begin
+        (* Every enabled decision is asleep: all continuations are
+           commutation-equivalent to already-explored runs. *)
+        blocked := true;
+        over := true
+      end
+      else begin
+        let c = chosen.(!depth) in
+        if c < n then begin
+          let op = Exec.pending m c in
+          pend.(!depth) <- op;
+          if Pset.mem c observed then
+            events :=
+              Subject.record subj
+                (Subject.Stepped { e_pid = c; e_op = op })
+                !events;
+          Exec.step m c
+        end
+        else begin
+          if Pset.mem (c - n) observed then
+            events :=
+              Subject.record subj (Subject.Crashed { e_pid = c - n }) !events;
+          Exec.crash m (c - n)
+        end;
+        incr depth
+      end
+    done;
+    (Exec.report m, !events, !truncated, !blocked)
   in
 
   (* Move to the next unexplored branch: mark the deepest node's chosen
@@ -291,36 +326,30 @@ let explore_core ~cfg ~stop_on_violation ~classify ~base ~forced ~floor
   let rec backtrack () =
     if !plen <= floor then false
     else begin
-      let nd = node_at (!plen - 1) in
-      nd.done_ <- nd.chosen :: nd.done_;
-      let available =
-        List.filter
-          (fun d -> not (List.mem d nd.done_ || List.mem d nd.sleep0))
-          nd.enabled
-      in
-      match available with
-      | d :: _ ->
-        nd.chosen <- d;
+      let d = !plen - 1 in
+      done_.(d) <- done_.(d) lor (1 lsl chosen.(d));
+      let available = enabled.(d) land lnot (done_.(d) lor sleep.(d)) in
+      if available <> 0 then begin
+        chosen.(d) <- lowest available;
         true
-      | [] ->
+      end
+      else begin
         decr plen;
-        path.(!plen) <- None;
         backtrack ()
+      end
     end
   in
 
   let current_trace () =
     Trace.make ~n ~participants
-      (List.init !plen (fun i -> (node_at i).chosen))
+      (List.init !plen (fun i -> decision.(chosen.(i))))
   in
 
-  (* The processes crashed along the current path. *)
+  (* The processes crashed along the current path, as a mask. *)
   let current_crashes () =
-    let crashed = ref Pset.empty in
+    let crashed = ref 0 in
     for i = 0 to !plen - 1 do
-      match (node_at i).chosen with
-      | Trace.Crash p -> crashed := Pset.add p !crashed
-      | Trace.Step _ -> ()
+      if chosen.(i) >= n then crashed := !crashed lor (1 lsl (chosen.(i) - n))
     done;
     !crashed
   in
@@ -352,8 +381,7 @@ let explore_core ~cfg ~stop_on_violation ~classify ~base ~forced ~floor
       if !forcing then forced
       else
         List.init !plen (fun i ->
-            let nd = node_at i in
-            (nd.chosen, nd.done_)) )
+            (decision.(chosen.(i)), List.rev (decisions_of done_.(i)))) )
   in
 
   let executions = ref 0 in
@@ -381,12 +409,9 @@ let explore_core ~cfg ~stop_on_violation ~classify ~base ~forced ~floor
       (* probe mode: record the branch decisions at depth [d] — the
          node's enabled minus its sleep set, in enabled order, which is
          exactly the branch set the DFS explores there *)
-      if d < !plen then begin
-        let nd = node_at d in
+      if d < !plen then
         cell :=
-          Some
-            (List.filter (fun x -> not (List.mem x nd.sleep0)) nd.enabled)
-      end;
+          Some (decisions_of (enabled.(d) land lnot sleep.(d)));
       stop := true
     | None ->
       if blocked then incr pruned
@@ -394,8 +419,7 @@ let explore_core ~cfg ~stop_on_violation ~classify ~base ~forced ~floor
         if truncated then incr truncated_runs else incr runs;
         (* the trace is built only for [classify] or a violation *)
         let outcome = lazy { report; trace = current_trace (); truncated } in
-        if not truncated then
-          Hashtbl.replace patterns (Pset.to_mask (current_crashes ())) ();
+        if not truncated then Hashtbl.replace patterns (current_crashes ()) ();
         (match classify with
         | Some f ->
           Option.iter
@@ -418,6 +442,7 @@ let explore_core ~cfg ~stop_on_violation ~classify ~base ~forced ~floor
     r_tally = tally ~exhausted:!exhausted;
     r_violations = List.rev !violations;
     r_executions = !executions;
+    r_cut = not !stop;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -548,7 +573,10 @@ let explore_tasks ~cfg ~stop_on_violation ~classify ~checkpoint_every
     Mutex.unlock lock;
     Option.iter deliver snap
   in
-  let run_task i ~budget ~on_execution =
+  (* Per task, the checkpoints it emitted (newest first) while it ran
+     with an exact budget in the parallel pass; see [commit]. *)
+  let emitted = Array.make ntasks [] in
+  let run_task ?(record = false) i ~budget ~on_execution =
     let base, forced =
       match slots.(i) with
       | Todo -> (zero_tally, subs.(i).prefix)
@@ -559,7 +587,9 @@ let explore_tasks ~cfg ~stop_on_violation ~classify ~checkpoint_every
       explore_core ~cfg ~stop_on_violation ~classify ~base ~forced
         ~floor:(List.length subs.(i).prefix) ~budget ~on_execution
         ~checkpoint_every
-        ~on_checkpoint:(fun (t, fr) -> set_slot i (Active (t, fr)) ~emit:true)
+        ~on_checkpoint:(fun (t, fr) ->
+          if record then emitted.(i) <- (t, fr) :: emitted.(i);
+          set_slot i (Active (t, fr)) ~emit:true)
         ~capture:None ~n ~participants ~subject ()
     in
     set_slot i (Done r.r_tally) ~emit:false;
@@ -572,7 +602,12 @@ let explore_tasks ~cfg ~stop_on_violation ~classify ~checkpoint_every
      ran to its end within the budget left for it — it is then exactly
      what running the task here would give. Otherwise (aborted, or more
      executions than the budget leaves) the task runs here with the
-     exact budget; the tasks after it then have none left. *)
+     exact budget; the tasks after it then have none left. A task that
+     already ran with its exact budget and was cut by it, after earlier
+     tasks made executions, is the one a speculative pass would have
+     aborted and rerun here: its checkpoints are emitted again, as that
+     rerun would emit them, so the last checkpoint written does not
+     depend on which of the two ran. *)
   let commit speculative =
     Array.iteri (fun i st -> slots.(i) <- st.progress) subs;
     let rec go i budget items =
@@ -585,6 +620,10 @@ let explore_tasks ~cfg ~stop_on_violation ~classify ~checkpoint_every
           let r =
             match speculative.(i) with
             | Some (Ok r) when r.r_executions <= budget ->
+              if r.r_cut && r.r_executions < cfg.max_runs then
+                List.iter
+                  (fun (t, fr) -> set_slot i (Active (t, fr)) ~emit:true)
+                  (List.rev emitted.(i));
               slots.(i) <- Done r.r_tally;
               r
             | Some (Ok _) | Some (Error (Task_abort, _)) | None ->
@@ -600,18 +639,32 @@ let explore_tasks ~cfg ~stop_on_violation ~classify ~checkpoint_every
   in
 
   (* The parallel pass: every task runs its whole subtree on the domain
-     pool. Task [i]'s budget is what the tasks before it leave, which is
-     known only once they finish, so it runs speculatively and aborts as
-     soon as its results cannot be committed: when the executions the
-     earlier tasks have made so far plus its own exceed [max_runs], or
-     when an earlier task aborted that way or found a violation under
+     pool. Task [i]'s budget is what the tasks before it leave. A task
+     that starts when every earlier one has finished knows it exactly:
+     it runs with that budget and nothing aborts it, so [commit] keeps
+     its result. Any other task runs speculatively and aborts as soon as
+     its results cannot be committed: when the executions the earlier
+     tasks have made so far plus its own exceed [max_runs], or when an
+     earlier task aborted that way or found a violation under
      [stop_on_violation] (the in-order DFS would stop there). *)
   let parallel torun =
     let counts = Array.init ntasks (fun _ -> Atomic.make 0) in
+    let finished =
+      Array.init ntasks (fun i ->
+          Atomic.make (match slots.(i) with Done _ -> true | _ -> false))
+    in
     let floor = Atomic.make max_int in
     let rec lower i =
       let cur = Atomic.get floor in
       if i < cur && not (Atomic.compare_and_set floor cur i) then lower i
+    in
+    (* What the tasks before [i] leave of [max_runs], once all of them
+       have finished. *)
+    let rec exact_budget i j left =
+      if j = i then Some left
+      else if Atomic.get finished.(j) then
+        exact_budget i (j + 1) (left - Atomic.get counts.(j))
+      else None
     in
     let task i () =
       let on_execution () =
@@ -626,8 +679,18 @@ let explore_tasks ~cfg ~stop_on_violation ~classify ~checkpoint_every
           raise Task_abort
         end
       in
-      let r = run_task i ~budget:cfg.max_runs ~on_execution:(Some on_execution) in
+      let r =
+        match exact_budget i 0 cfg.max_runs with
+        | Some left ->
+          if Atomic.get floor < i || left <= 0 then raise Task_abort;
+          (* still counted, for the tasks after it *)
+          let count () = Atomic.incr counts.(i) in
+          run_task ~record:true i ~budget:left ~on_execution:(Some count)
+        | None ->
+          run_task i ~budget:cfg.max_runs ~on_execution:(Some on_execution)
+      in
       if stop_on_violation && r.r_violations <> [] then lower i;
+      Atomic.set finished.(i) true;
       r
     in
     let outcomes =
@@ -674,6 +737,12 @@ let explore ?(config = config ()) ?(stop_on_violation = false) ?classify
     ?resume ?(checkpoint_every = 0) ?on_checkpoint ?domains ~n ~participants
     ~subject () =
   let cfg = config in
+  if 2 * n > 62 then
+    Fact_resilience.Fact_error.precondition ~fn:"Explore.explore"
+      (Printf.sprintf
+         "n = %d: the explorer encodes the 2n decisions of a node in a \
+          62-bit mask, so n must be at most 31"
+         n);
   let domains =
     match domains with
     | Some d -> max 1 d

@@ -6,13 +6,16 @@
     depth-first search over scheduling decisions: at every interleaving
     point it can step any alive process or (within a crash budget)
     crash one. Processes are step values ({!Fact_runtime.Proc}), so an
-    execution state can be stored and resumed: every node on the DFS
-    path keeps the machine state and the event log right before its
-    decision ({!Fact_runtime.Exec.save}), and the memory writes since
-    are logged in an undo trail. A new execution restores the state of
-    the node where it branches off and runs only its fresh suffix; a
-    task's forced prefix (a subtree prefix or a resume frontier) is
-    executed once, by its first run.
+    execution state can be stored and resumed: a node of the DFS path
+    that still has a branch to explore keeps the machine state and the
+    event log right before its decision ({!Fact_runtime.Exec.save}),
+    and the memory writes since are logged in an undo trail. A new
+    execution restores the state of the node where it branches off and
+    runs only its fresh suffix; a task's forced prefix (a subtree
+    prefix or a resume frontier) is executed once, by its first run.
+    The rest of a node's bookkeeping is a few ints in arrays allocated
+    once per task: its decisions are bits of a mask, so [n] is at most
+    31.
 
     Two reduction/bounding mechanisms keep the search tractable:
 
@@ -53,10 +56,11 @@
     class-set unions, violation concatenation in task order), so the
     resulting stats are bit-identical for {e any} domain count. Under a
     [max_runs] budget, tasks are committed in order: a task's parallel
-    result is kept when it fits the budget the tasks before it leave,
-    the one task that straddles the budget is rerun with its exact
-    remaining budget, and tasks past it abort early. See DESIGN.md
-    §5b. *)
+    result is kept when it fits the budget the tasks before it leave. A
+    task that starts after every earlier one has finished runs with that
+    exact budget; a task that starts earlier runs speculatively, and if
+    it straddles the budget it is rerun with its exact remaining budget,
+    while tasks past it abort early. See DESIGN.md §5b. *)
 
 open Fact_topology
 open Fact_runtime
@@ -187,6 +191,7 @@ val explore :
     one would; recorded violations are re-evaluated by uncounted
     replays against the current subject rather than trusted (see
     [t_viol]). Resuming against a different protocol or configuration
-    raises a [Precondition] {!Fact_resilience.Fact_error}. *)
+    raises a [Precondition] {!Fact_resilience.Fact_error}, and so does
+    [n > 31]. *)
 
 val pp_stats : Format.formatter -> 'r stats -> unit

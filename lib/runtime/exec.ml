@@ -130,8 +130,6 @@ let restore m st =
   m.total <- st.s_total;
   m.alive <- st.s_alive
 
-let state_pending st pid = st.s_slots.(pid).pend
-
 let run ?(max_steps = 100_000) ?on_step ?on_crash ~schedule procs =
   let m =
     start ~n:(Schedule.n schedule) ~participants:(Schedule.participants schedule)

@@ -72,9 +72,6 @@ val restore : 'r machine -> 'r state -> unit
     saved state. Valid while no state saved before it has been
     restored since — states are restored last-saved first. *)
 
-val state_pending : 'r state -> int -> Op.pending
-(** {!pending} at the time the state was saved. *)
-
 (** {1 Running under a schedule} *)
 
 val run :

@@ -339,6 +339,46 @@ let prop_setcon_restrict_monotone =
       let p = Pset.of_mask (mask land 15) in
       Setcon.alpha a p <= Setcon.setcon a)
 
+(* ------------------------------------------------------------------ *)
+(* Interned agreement stamps                                          *)
+(* ------------------------------------------------------------------ *)
+
+let test_agreement_stamp_interned () =
+  let a = Agreement.of_adversary (Adversary.wait_free 3) in
+  let b = Agreement.of_adversary (Adversary.wait_free 3) in
+  let c = Agreement.of_fn ~n:3 (fun p -> Agreement.eval a p) in
+  let kof = Agreement.k_obstruction_free ~n:3 ~k:1 in
+  check "equal tables share a stamp" (Agreement.stamp a) (Agreement.stamp b);
+  check "equal table via of_fn" (Agreement.stamp a) (Agreement.stamp c);
+  check_bool "different tables, different stamps" true
+    (Agreement.stamp a <> Agreement.stamp kof);
+  (* enough distinct n = 10 tables to reset the bounded intern table
+     more than once: no stamp is ever given to two different tables,
+     and the first table, rebuilt after a reset, gets a fresh one *)
+  let table k =
+    Agreement.of_fn ~n:10 (fun p -> if Pset.to_mask p = k then 1 else 0)
+  in
+  let stamps = List.init 200 (fun k -> Agreement.stamp (table k)) in
+  check "distinct tables, distinct stamps" 200
+    (List.length (List.sort_uniq compare stamps));
+  let again = Agreement.stamp (table 0) in
+  check_bool "a table dropped by a reset gets a fresh stamp" false
+    (List.mem again stamps)
+
+(* [Fairness.violations] polls the ambient token: a wait-free n = 10
+   check runs for seconds, a 0.2 s deadline stops it with a typed
+   error. *)
+let test_fairness_cancellable () =
+  let open Fact_resilience in
+  let tok = Cancel.create ~deadline_s:0.2 () in
+  let t0 = Unix.gettimeofday () in
+  match
+    Cancel.with_token tok (fun () -> Fairness.violations (Adversary.wait_free 10))
+  with
+  | _ -> Alcotest.fail "expected Deadline_exceeded"
+  | exception Fact_error.Error (Fact_error.Deadline_exceeded _) ->
+    check_bool "stops promptly" true (Unix.gettimeofday () -. t0 < 5.)
+
 let suite =
   let qt = QCheck_alcotest.to_alcotest in
   [
@@ -364,6 +404,8 @@ let suite =
     ("census n=3", `Quick, test_census_n3);
     ("census invariants", `Quick, test_census_invariants);
     ("singleton adversary unfair", `Quick, test_singleton_adversary_unfair);
+    ("agreement stamps interned", `Quick, test_agreement_stamp_interned);
+    ("fairness violations cancellable", `Quick, test_fairness_cancellable);
     qt prop_symmetric_fair;
     qt prop_superset_closed_fair;
     qt prop_superset_closed_setcon_csize;

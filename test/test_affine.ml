@@ -355,6 +355,24 @@ let test_ra_memo_stability () =
       check_bool "mask path = face-list path" true (fast = slow))
     (Complex.facets (Chr.standard_iterated ~m:2 ~n:3))
 
+(* Stamps are interned by table, so an equal α built separately hits
+   the verdicts the first one left: the second [Ra.complex] adds only
+   hits to the per-facet cache. *)
+let test_ra_memo_shared_by_equal_alpha () =
+  let facet_ok () =
+    List.assoc "ra.facet_ok" (Fact_resilience.Cache.all_stats ())
+  in
+  let first = Agreement.of_adversary (Adversary.t_resilient ~n:3 ~t:1) in
+  let r1 = Ra.complex first ~n:3 in
+  let before = facet_ok () in
+  let second = Agreement.of_adversary (Adversary.t_resilient ~n:3 ~t:1) in
+  let r2 = Ra.complex second ~n:3 in
+  let after = facet_ok () in
+  check_bool "same complex" true (Complex.equal r1 r2);
+  let open Fact_resilience.Cache in
+  check "no new misses" before.misses after.misses;
+  check_bool "hits added" true (after.hits > before.hits)
+
 (* ------------------------------------------------------------------ *)
 (* µ_Q (Section 6.2)                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -617,6 +635,7 @@ let suite =
       ("R_A of wait-free is Chr^2 s", `Quick, test_ra_wait_free_full);
       ("R_A seed fingerprints (both variants)", `Quick, test_ra_seed_fingerprints);
       ("R_A memo stability", `Quick, test_ra_memo_stability);
+      ("R_A memo shared by equal alpha", `Quick, test_ra_memo_shared_by_equal_alpha);
       ("affine task API", `Quick, test_affine_task_api);
       ("affine task validation", `Quick, test_affine_task_validation);
       ("affine task composition", `Quick, test_affine_compose);

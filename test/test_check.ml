@@ -532,6 +532,111 @@ let test_explore_budget_identical () =
         [ 1; 50; 333; 2000 ])
     [ ("IS n=3", is_at); ("alg1 n=2", alg1_at) ]
 
+(* The budgeted counts of IS n = 3 and Algorithm 1 wait-free n = 3,
+   pinned at their in-order values, at every domain count and nested
+   inside a pool job (as a campaign cell with [domains 2] runs them):
+   whichever tasks start with an exact budget and whichever straddle it
+   speculatively, the committed runs are the same. *)
+let test_explore_budget_pinned () =
+  let wf3 = Agreement.of_adversary (Adversary.wait_free 3) in
+  let is_at ~domains ~max_runs =
+    let s, _ = Harness.explore_immediate_snapshot ~domains ~max_runs ~n:3 () in
+    Format.asprintf "%a" Explore.pp_stats s
+  in
+  let alg1_at ~domains ~max_runs =
+    Format.asprintf "%a" Explore.pp_stats
+      (Harness.explore_algorithm1 ~domains ~max_runs ~alpha:wf3
+         ~participants:(Pset.full 3) ())
+  in
+  let budget_hit = "crash patterns 1 violations 0 [budget hit]" in
+  let cases =
+    [
+      ( "IS n=3", is_at,
+        [ (700, "runs 380 (truncated 0, pruned 320) " ^ budget_hit);
+          (2000, "runs 1095 (truncated 0, pruned 905) " ^ budget_hit);
+          (5000,
+           "runs 1522 (truncated 0, pruned 1338) crash patterns 1 \
+            violations 0 [exhaustive]") ] );
+      ( "alg1 n=3", alg1_at,
+        List.map
+          (fun r ->
+            ( r,
+              Printf.sprintf
+                "runs %d (truncated 0, pruned 0) crash patterns 4 \
+                 violations 0 [budget hit]"
+                r ))
+          [ 700; 2000; 5000 ] );
+    ]
+  in
+  List.iter
+    (fun (name, at, pinned) ->
+      List.iter
+        (fun (max_runs, want) ->
+          let what = Printf.sprintf "%s max_runs=%d" name max_runs in
+          List.iter
+            (fun d ->
+              check_str
+                (Printf.sprintf "%s at %d domains" what d)
+                want (at ~domains:d ~max_runs))
+            [ 1; 2; 4 ];
+          List.iter
+            (function
+              | Ok got -> check_str (what ^ " nested in a pool job") want got
+              | Error eb -> Parallel.reraise eb)
+            (Parallel.run_all ~workers:2
+               [ (fun () -> at ~domains:2 ~max_runs);
+                 (fun () -> at ~domains:2 ~max_runs) ]))
+        pinned)
+    cases
+
+(* The last checkpoint of IS n = 3 under [max_runs 700], every 100
+   executions, pinned at the bytes the record-based explorer wrote:
+   done lists now come back from masks, newest (highest) first. At one
+   domain it is the root task's frontier; at four, the straddling
+   task's rerun (or its exact-budget run, emitted again at commit). *)
+let test_checkpoint_bytes_pinned () =
+  let last ~domains =
+    let ck = ref "" in
+    ignore
+      (Harness.explore_immediate_snapshot ~domains ~max_runs:700
+         ~checkpoint_every:100
+         ~on_checkpoint:(fun c -> ck := Checkpoint.to_string c)
+         ~n:3 ());
+    !ck
+  in
+  check_str "1 domain"
+    "((protocol is) (n 3) (participants (0 1 2)) (subtrees (((prefix ()) \
+     (status (active (runs 328) (truncated 0) (pruned 272) (patterns (0)) \
+     (frontier ((s0 ()) (s0 ()) (s1 (s0)) (s1 ()) (s0 ()) (s0 ()) (s0 ()) \
+     (s0 ()) (s1 (s0)) (s1 ()) (s2 (s1 s0)) (s2 ()) (s0 ()) (s2 \
+     (s1))))))))) (parts (((0) (1) (2)) ((0) (2) (1)) ((0) (1 2)) ((1) \
+     (0) (2)) ((0 1) (2)) ((2) (0) (1)) ((0 2) (1)))))"
+    (last ~domains:1);
+  let four = last ~domains:4 in
+  check "4 domains, length" 894 (String.length four);
+  check_str "4 domains, digest" "eec3e8cb8c1c4c30f89f87e8f3e422b5"
+    (Digest.to_hex (Digest.string four))
+
+(* A node's decisions are bits of an int mask: 2n of them must fit in
+   62 bits. n = 32 is refused, typed, before anything is built; n = 31
+   runs. *)
+let test_explore_n_bound () =
+  let subject n () =
+    Subject.of_procs ~prop:(fun _ -> true)
+      (Array.make n (fun _ -> Proc.Done ()))
+  in
+  let explore n =
+    Explore.explore ~config:(Explore.config ~max_runs:1 ()) ~domains:1 ~n
+      ~participants:(Pset.full n) ~subject:(subject n) ()
+  in
+  (match explore 32 with
+  | _ -> Alcotest.fail "n = 32: expected a Precondition"
+  | exception
+      Fact_resilience.Fact_error.Error
+        (Fact_resilience.Fact_error.Precondition { fn; _ }) ->
+    check_str "typed, from the explorer" "Explore.explore" fn);
+  check "n = 31 runs" 1 (explore 31).Explore.runs
+
 (* ------------------------------------------------------------------ *)
 (* Branching from saved states = replay from the root                 *)
 (* ------------------------------------------------------------------ *)
@@ -705,6 +810,9 @@ let suite =
     ("parallel explore: Alg1 counts identical at 1/2/4 domains", `Slow, test_explore_parallel_alg1_identical);
     ("parallel explore: identical shrunk counterexample", `Slow, test_explore_parallel_counterexample);
     ("parallel explore: budgeted runs identical at 1/2/4 domains", `Slow, test_explore_budget_identical);
+    ("parallel explore: budgeted counts pinned, nested too", `Slow, test_explore_budget_pinned);
+    ("checkpoint: bytes pinned at 1 and 4 domains", `Quick, test_checkpoint_bytes_pinned);
+    ("explore: n beyond the mask width is refused", `Quick, test_explore_n_bound);
     ("explore: branching from saved states equals replay", `Slow, test_branching_equals_replay);
     ("explore: before assertions see step order", `Quick, test_explore_before_sees_order);
     ("explore: memoized in-ra equals alg1_prop", `Slow, test_in_ra_memo_equals_prop);

@@ -807,6 +807,35 @@ let test_query_size_bound () =
   check "fact analyze -n 24 --preset wait-free" 2
     (exit_code [ "analyze"; "-n"; "24"; "--preset"; "wait-free" ])
 
+(* [--timeout] stops [fact analyze] inside the setcon and fairness
+   computations too: the wait-free n = 10 analysis runs for far longer
+   than its 1 s budget and must exit 3 (deadline) within seconds. The
+   child is killed if it is still running after 30 s. *)
+let test_cli_analyze_timeout () =
+  let t0 = Unix.gettimeofday () in
+  let null = Unix.openfile Filename.null [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process "../bin/fact_cli.exe"
+      [| "fact"; "analyze"; "-n"; "10"; "--preset"; "wait-free";
+         "--timeout"; "1" |]
+      Unix.stdin null null
+  in
+  Unix.close null;
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () -. t0 > 30. ->
+      Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid);
+      Alcotest.fail "fact analyze ignored --timeout"
+    | 0, _ ->
+      Unix.sleepf 0.05;
+      wait ()
+    | _, status -> status
+  in
+  let status = wait () in
+  check_bool "exit 3" true (status = Unix.WEXITED 3);
+  check_bool "within a few seconds" true (Unix.gettimeofday () -. t0 < 10.)
+
 let suite =
   [
     Alcotest.test_case "sexp roundtrip" `Quick test_sexp_roundtrip;
@@ -841,4 +870,6 @@ let suite =
     Alcotest.test_case "cli: one adversary resolver" `Quick
       test_cli_adversary_resolver;
     Alcotest.test_case "query size bound typed" `Quick test_query_size_bound;
+    Alcotest.test_case "cli: analyze honours --timeout" `Quick
+      test_cli_analyze_timeout;
   ]
